@@ -18,8 +18,9 @@ One :class:`LabelingEngine` wraps the naming pipeline
   :func:`repro.experiment.run_all_domains` ride the same executor.
 
 The engine holds no request state between calls and all shared state (the
-cache, counters) is lock-guarded, so one engine instance safely serves the
-``ThreadingHTTPServer`` in :mod:`repro.service.server`.
+caches, the request index, counters) is lock-guarded, so one engine
+instance safely serves the ``ThreadingHTTPServer`` in
+:mod:`repro.service.server`.
 """
 
 from __future__ import annotations
@@ -60,8 +61,13 @@ from ..schema.serialize import (
     mapping_from_dict,
     node_to_dict,
 )
-from .cache import ResultCache
-from .fingerprint import corpus_fingerprint, options_from_dict, options_to_dict
+from .cache import LRUCache, ResultCache
+from .fingerprint import (
+    corpus_fingerprint,
+    options_from_dict,
+    options_to_dict,
+    request_key,
+)
 
 __all__ = [
     "BatchOutcome",
@@ -80,20 +86,33 @@ class RequestError(ValueError):
 
 @dataclass
 class LabelingRequest:
-    """One validated unit of work for the engine."""
+    """One validated unit of work for the engine.
 
-    interfaces: list[QueryInterface]
-    mapping: Mapping
+    A domain request whose fingerprint came from an engine's request index
+    carries no corpus yet (``interfaces`` and ``mapping`` are ``None``):
+    :meth:`corpus` generates it only when the pipeline has to run.
+    """
+
+    interfaces: list[QueryInterface] | None
+    mapping: Mapping | None
     options: NamingOptions
     lexicon: dict | None = None
     domain: str | None = None
     include_lint: bool = False
     timeout: float | None = None
     fingerprint: str = field(default="", repr=False)
+    seed: int = 0
 
     @classmethod
-    def from_payload(cls, payload) -> "LabelingRequest":
-        """Parse + validate an untrusted JSON payload (raises :class:`RequestError`)."""
+    def from_payload(cls, payload, index=None) -> "LabelingRequest":
+        """Parse + validate an untrusted JSON payload (raises :class:`RequestError`).
+
+        ``index`` (an :class:`~repro.service.cache.LRUCache`) maps the
+        :func:`~repro.service.fingerprint.request_key` of a domain request
+        to its corpus fingerprint.  A domain request found there skips
+        generating and fingerprinting its corpus; one that is not gets its
+        fingerprint recorded.  Every validation runs either way.
+        """
         if not isinstance(payload, dict):
             raise RequestError("request payload must be a JSON object")
         has_corpus = "corpus" in payload
@@ -128,7 +147,8 @@ class LabelingRequest:
             if timeout <= 0:
                 raise RequestError("'timeout' must be positive")
 
-        domain = None
+        domain, seed = None, 0
+        interfaces = mapping = key = digest = None
         if has_domain:
             from ..datasets.registry import DOMAINS, load_domain
 
@@ -139,8 +159,12 @@ class LabelingRequest:
             seed = payload.get("seed", 0)
             if not isinstance(seed, int) or isinstance(seed, bool):
                 raise RequestError("'seed' must be an integer")
-            dataset = load_domain(domain, seed=seed)
-            interfaces, mapping = dataset.interfaces, dataset.mapping
+            if index is not None:
+                key = request_key(domain, seed, options, lexicon)
+                digest = index.get(key)
+            if digest is None:
+                dataset = load_domain(domain, seed=seed)
+                interfaces, mapping = dataset.interfaces, dataset.mapping
         else:
             corpus = payload["corpus"]
             if not isinstance(corpus, dict):
@@ -157,11 +181,14 @@ class LabelingRequest:
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise RequestError(f"malformed corpus: {exc}") from None
 
-        # Fingerprint before the 1:m reduction mutates the trees: the key
-        # must describe the *input*, which is what a repeat request carries.
-        digest = corpus_fingerprint(
-            interfaces, mapping, options=options, lexicon=lexicon
-        )
+        if digest is None:
+            # Fingerprint before the 1:m reduction mutates the trees: the key
+            # must describe the *input*, which is what a repeat request carries.
+            digest = corpus_fingerprint(
+                interfaces, mapping, options=options, lexicon=lexicon
+            )
+            if key is not None:
+                index.put(key, digest)
         return cls(
             interfaces=interfaces,
             mapping=mapping,
@@ -171,7 +198,17 @@ class LabelingRequest:
             include_lint=bool(payload.get("lint", False)),
             timeout=timeout,
             fingerprint=digest,
+            seed=seed,
         )
+
+    def corpus(self) -> tuple[list[QueryInterface], Mapping]:
+        """The corpus to label, generated from the domain if not carried."""
+        if self.interfaces is None:
+            from ..datasets.registry import load_domain
+
+            dataset = load_domain(self.domain, seed=self.seed)
+            return dataset.interfaces, dataset.mapping
+        return self.interfaces, self.mapping
 
 
 @dataclass
@@ -415,8 +452,14 @@ class LabelingEngine:
         paper-invariant oracles (:mod:`repro.testing.oracles`) before it is
         served or cached; a violation raises ``OracleError``;
     ``comparator``
-        a shared default comparator for overlay-free requests (instead of
-        one per worker thread) — lets test/chaos sweeps reuse warm caches.
+        the default comparator for overlay-free requests (instead of one
+        the engine builds on first use) — lets test/chaos sweeps reuse warm
+        caches across engines.
+
+    Domain requests go through a request index: an LRU with the result
+    cache's capacity from :func:`~repro.service.fingerprint.request_key` to
+    the corpus fingerprint, so a repeated ``{"domain", "seed"}`` request is
+    answered from the cache without generating or fingerprinting its corpus.
     """
 
     #: How many lexicon-overlay comparators to keep warm; overlays beyond
@@ -448,6 +491,7 @@ class LabelingEngine:
         if verify not in ("off", "strict"):
             raise ValueError("verify must be 'off' or 'strict'")
         self.cache = ResultCache(capacity=cache_size)
+        self.request_index = LRUCache(capacity=cache_size)
         self.default_jobs = normalize_jobs(jobs)
         self.default_executor = validate_executor(executor)
         self.fault_plan = fault_plan
@@ -456,7 +500,6 @@ class LabelingEngine:
         self.verify = verify
         self._clock = clock
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._local = threading.local()
         self._lock = threading.Lock()
         self._requests = 0
         self._errors = 0
@@ -509,6 +552,10 @@ class LabelingEngine:
     # Single requests.
     # ------------------------------------------------------------------
 
+    def parse(self, payload) -> LabelingRequest:
+        """:meth:`LabelingRequest.from_payload` through this engine's request index."""
+        return LabelingRequest.from_payload(payload, index=self.request_index)
+
     def label(self, payload) -> dict:
         """Execute one request payload (or prebuilt request); JSON-ready response.
 
@@ -518,9 +565,7 @@ class LabelingEngine:
         thread and abandoning it past the deadline.
         """
         request = (
-            payload
-            if isinstance(payload, LabelingRequest)
-            else LabelingRequest.from_payload(payload)
+            payload if isinstance(payload, LabelingRequest) else self.parse(payload)
         )
         if request.timeout is None:
             return self._label_request(request)
@@ -673,6 +718,7 @@ class LabelingEngine:
         return breaker
 
     def _execute(self, request: LabelingRequest) -> dict:
+        interfaces, mapping = request.corpus()
         start = time.perf_counter()
         with self._lock:
             self._computations += 1
@@ -680,12 +726,12 @@ class LabelingEngine:
         maybe_inject("engine.execute", key=request.fingerprint)
         with obs_span(
             "pipeline",
-            interfaces=len(request.interfaces),
-            clusters=len(request.mapping),
+            interfaces=len(interfaces),
+            clusters=len(mapping),
         ):
             root, result = label_corpus(
-                request.interfaces,
-                request.mapping,
+                interfaces,
+                mapping,
                 comparator=comparator,
                 options=request.options,
                 domain=request.domain,
@@ -715,8 +761,8 @@ class LabelingEngine:
             "node_labels": dict(sorted(result.node_labels.items())),
             "options": options_to_dict(request.options),
             "stats": {
-                "interfaces": len(request.interfaces),
-                "clusters": len(request.mapping),
+                "interfaces": len(interfaces),
+                "clusters": len(mapping),
                 "leaves": len(leaves),
                 "internal_nodes": len(internal),
                 "groups": len(result.group_results),
@@ -743,7 +789,7 @@ class LabelingEngine:
         )
 
     def _comparator_for(self, request: LabelingRequest) -> SemanticComparator:
-        """A comparator for this request: shared per overlay, else per-thread.
+        """A comparator for this request: shared per overlay, else the default.
 
         Requests (and batch items) carrying the same lexicon overlay share
         one comparator — and therefore its label/relation/group caches —
@@ -782,20 +828,19 @@ class LabelingEngine:
         return self.default_comparator()
 
     def default_comparator(self) -> SemanticComparator:
-        """The comparator overlay-free requests use.
+        """The one comparator every overlay-free request shares.
 
-        The engine-wide instance when one was passed at construction,
-        otherwise one per worker thread (comparator memos are cheap to
-        build but their caches are worth keeping hot per thread).
+        The instance passed at construction, else one built on first use.
+        Its memos are safe under concurrent use (see :meth:`_comparator_for`),
+        so all handler and batch threads share one set of warm caches.
         """
-        if self._default_comparator is not None:
-            return self._default_comparator
-        comparator = getattr(self._local, "comparator", None)
+        comparator = self._default_comparator
         if comparator is None:
-            comparator = SemanticComparator()
-            self._local.comparator = comparator
             with self._lock:
-                self._comparators.append(comparator)
+                if self._default_comparator is None:
+                    self._default_comparator = SemanticComparator()
+                    self._comparators.append(self._default_comparator)
+                comparator = self._default_comparator
         return comparator
 
     # ------------------------------------------------------------------
@@ -847,11 +892,7 @@ class LabelingEngine:
                     tasks.append(self._traced_task(trace, item_span, payload))
             else:
                 tasks = [
-                    (
-                        lambda p=payload: self._label_request(
-                            LabelingRequest.from_payload(p)
-                        )
-                    )
+                    (lambda p=payload: self._label_request(self.parse(p)))
                     for payload in payloads
                 ]
             responses: list[dict] = []
@@ -865,7 +906,7 @@ class LabelingEngine:
     def _traced_task(self, trace, item_span: Span, payload) -> Callable[[], dict]:
         def run() -> dict:
             with trace.attach(item_span):
-                return self._label_request(LabelingRequest.from_payload(payload))
+                return self._label_request(self.parse(payload))
 
         return run
 
@@ -913,7 +954,7 @@ class LabelingEngine:
         pending: dict[str, list[int]] = {}
         for index, payload in enumerate(payloads):
             try:
-                request = LabelingRequest.from_payload(payload)
+                request = self.parse(payload)
             except RequestError as exc:
                 entries[index] = {
                     "ok": False,
@@ -1046,6 +1087,7 @@ class LabelingEngine:
             oracle_checks = self._oracle_checks
             oracle_failures = self._oracle_failures
         semantics = aggregate_stats([c.cache_stats() for c in comparators])
+        index = self.request_index.stats()
         semantics["comparators"] = len(comparators)
         semantics["overlay_comparators"] = overlays
         breaker_stats = [b.stats() for b in breakers]
@@ -1070,6 +1112,12 @@ class LabelingEngine:
             "default_jobs": self.default_jobs,
             "default_executor": self.default_executor,
             "cache": self.cache.stats().to_dict(),
+            "request_index": {
+                "hits": index.hits,
+                "misses": index.misses,
+                "size": index.size,
+                "capacity": index.capacity,
+            },
             "semantics": semantics,
             "resilience": resilience,
         }
@@ -1080,3 +1128,4 @@ class LabelingEngine:
     def close(self) -> None:
         """Release cached results (symmetry with the server lifecycle)."""
         self.cache.clear()
+        self.request_index.clear()

@@ -32,6 +32,7 @@ __all__ = [
     "fingerprint_document",
     "options_to_dict",
     "options_from_dict",
+    "request_key",
 ]
 
 
@@ -149,4 +150,18 @@ def corpus_fingerprint(
     """Fingerprint of in-memory corpus objects (same digest as the document form)."""
     return fingerprint_document(
         corpus_to_dict(interfaces, mapping), options=options, lexicon=lexicon
+    )
+
+
+def request_key(
+    domain: str, seed: int, options: NamingOptions, lexicon: dict | None
+) -> str:
+    """Key of a domain request in the engine's request index.
+
+    Domain, seed, options and lexicon overlay fix the generated corpus and
+    therefore its fingerprint, so the engine can find a repeat's cache
+    entry without generating the corpus.
+    """
+    return canonical_json(
+        [domain, seed, options_to_dict(options), _canonical_lexicon(lexicon)]
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import time
 
@@ -658,3 +659,123 @@ class TestClientErrorBodyShapes:
         finally:
             httpd.shutdown()
             httpd.server_close()
+
+
+class _RecordingSocket:
+    """A connected-socket stand-in: holds one request, records every send."""
+
+    def __init__(self, request: bytes) -> None:
+        self._request = request
+        self.writes: list[bytes] = []
+
+    def makefile(self, mode, *args, **kwargs):
+        assert "r" in mode  # the handler writes through sendall
+        return io.BytesIO(self._request)
+
+    def sendall(self, data) -> None:
+        self.writes.append(bytes(data))
+
+
+class TestSingleWriteResponses:
+    """Status line, headers and body leave in one write.  A body written
+    after flushed headers waits on Nagle's algorithm for the client's
+    delayed ACK, which cost every keep-alive response about 40 ms."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        engine = LabelingEngine(cache_size=4)
+        engine.label({"domain": "airline", "seed": 0})
+        return engine
+
+    @staticmethod
+    def _exchange(engine, request: bytes, admission=None) -> list[bytes]:
+        from types import SimpleNamespace
+
+        from repro.obs import TraceStore
+        from repro.resilience import AdmissionController
+        from repro.service.server import _Handler
+
+        server = SimpleNamespace(
+            engine=engine,
+            metrics=MetricsRegistry(),
+            quiet=True,
+            admission=admission or AdmissionController(),
+            tracing=False,
+            traces=TraceStore(),
+            trace_log=None,
+        )
+        sock = _RecordingSocket(request)
+        _Handler(sock, ("127.0.0.1", 0), server)
+        return sock.writes
+
+    @staticmethod
+    def _post(body: bytes, length: int | None = None) -> bytes:
+        length = len(body) if length is None else length
+        return (
+            b"POST /label HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {length}\r\n\r\n".encode()
+            + body
+        )
+
+    @staticmethod
+    def _parse(data: bytes):
+        """Parse one HTTP/1.1 response; return (response, body, leftover)."""
+        import http.client
+
+        class _Stream(io.BytesIO):
+            def close(self) -> None:  # keep the leftover readable
+                pass
+
+        class _Sock:
+            def makefile(self, mode, *args, **kwargs):
+                return stream
+
+        stream = _Stream(data)
+        response = http.client.HTTPResponse(_Sock())
+        response.begin()
+        body = response.read()
+        return response, body, stream.read()
+
+    def _assert_one_response(self, writes: list[bytes], status: int):
+        assert len(writes) == 1
+        response, body, leftover = self._parse(writes[0])
+        assert response.version == 11
+        assert response.status == status
+        assert int(response.getheader("Content-Length")) == len(body)
+        assert leftover == b""
+        return response, json.loads(body)
+
+    def test_label_200(self, engine):
+        body = json.dumps({"domain": "airline", "seed": 0}).encode()
+        writes = self._exchange(engine, self._post(body))
+        response, payload = self._assert_one_response(writes, 200)
+        assert payload["ok"] and payload["cached"] is True
+        assert response.getheader("X-Request-Id") == payload["request_id"]
+
+    def test_invalid_body_400(self, engine):
+        writes = self._exchange(engine, self._post(b"{not json"))
+        _, payload = self._assert_one_response(writes, 400)
+        assert payload["error_type"] == "invalid_request"
+
+    def test_oversized_declaration_413(self, engine):
+        writes = self._exchange(engine, self._post(b"", length=64 * 1024 * 1024))
+        _, payload = self._assert_one_response(writes, 413)
+        assert payload["error_type"] == "payload_too_large"
+
+    def test_shed_429_with_retry_after(self, engine):
+        from repro.resilience import AdmissionController
+
+        admission = AdmissionController(max_concurrent=1, max_queue=0)
+        assert admission.acquire()  # the only slot is busy
+        body = json.dumps({"domain": "airline", "seed": 0}).encode()
+        writes = self._exchange(engine, self._post(body), admission=admission)
+        response, payload = self._assert_one_response(writes, 429)
+        assert payload["error_type"] == "overloaded"
+        assert float(response.getheader("Retry-After")) == payload["retry_after"]
+
+    def test_get_healthz(self, engine):
+        request = b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+        writes = self._exchange(engine, request)
+        _, payload = self._assert_one_response(writes, 200)
+        assert payload["status"] == "ok"
