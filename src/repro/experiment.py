@@ -185,19 +185,7 @@ def run_all_domains(
     tasks = [
         _DomainTask(name, seed, options, respondent_count) for name in names
     ]
-    if executor == "process":
-        from .lexicon.compiled import default_compiled
-        from .service.parallel import init_worker
-
-        outcomes = execute_batch(
-            tasks,
-            jobs=jobs,
-            executor="process",
-            initializer=init_worker,
-            initargs=(default_compiled(),),
-        )
-    else:
-        outcomes = execute_batch(tasks, jobs=jobs)
+    outcomes = execute_batch(tasks, jobs=jobs, executor=executor)
     failed = [
         f"{name}: {outcome.error}"
         for name, outcome in zip(names, outcomes)

@@ -25,6 +25,7 @@ own standalone trace and ship it home as a dict
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import uuid
@@ -224,6 +225,19 @@ _SCOPE: ContextVar[_TraceScope | None] = ContextVar("repro_trace_scope", default
 #: Count of live scopes across all threads; the hot-path fast-exit guard.
 _ACTIVE = 0
 _ACTIVE_LOCK = threading.Lock()
+
+
+def _reset_after_fork() -> None:
+    # A forked pool worker copies this state from whichever parent thread
+    # forked it: another parent thread may have held the lock at that
+    # instant, and none of the parent's scopes are live in the child.
+    global _ACTIVE, _ACTIVE_LOCK
+    _ACTIVE = 0
+    _ACTIVE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def is_active() -> bool:

@@ -13,8 +13,6 @@ the *observability* for it:
 * :class:`CacheCounter` — hit/miss/eviction counts with a derived hit rate;
   every cache in the hierarchy owns one and exposes it via a
   ``cache_stats()`` method.
-* :class:`Timer` / :class:`PerfRegistry` — named wall-clock timers and
-  counters for coarse stage accounting (used by ``repro profile``).
 * :func:`aggregate_stats` — recursive summation of ``cache_stats()``
   snapshots, what the service engine uses to merge the per-comparator
   numbers into one ``GET /metrics`` section.
@@ -33,12 +31,9 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 
 __all__ = [
     "CacheCounter",
-    "PerfRegistry",
-    "Timer",
     "aggregate_stats",
     "profile_labeling",
 ]
@@ -120,102 +115,6 @@ class CacheCounter:
             f"CacheCounter({self.name!r}, hits={self.hits}, "
             f"misses={self.misses}, evictions={self.evictions})"
         )
-
-
-class Timer:
-    """Accumulating wall-clock timer for one named stage (thread-safe)."""
-
-    __slots__ = ("name", "calls", "total_s", "max_s", "_lock")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.calls = 0
-        self.total_s = 0.0
-        self.max_s = 0.0
-        self._lock = threading.Lock()
-
-    def add(self, seconds: float) -> None:
-        with self._lock:
-            self.calls += 1
-            self.total_s += seconds
-            if seconds > self.max_s:
-                self.max_s = seconds
-
-    @contextmanager
-    def time(self):
-        """Context manager adding the enclosed wall time to the timer."""
-        start = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.add(time.perf_counter() - start)
-
-    def reset(self) -> None:
-        with self._lock:
-            self.calls = 0
-            self.total_s = 0.0
-            self.max_s = 0.0
-
-    def snapshot(self) -> dict:
-        """JSON-ready timing summary (milliseconds, consistent read)."""
-        with self._lock:
-            calls, total_s, max_s = self.calls, self.total_s, self.max_s
-        mean_s = total_s / calls if calls else 0.0
-        return {
-            "calls": calls,
-            "total_ms": round(total_s * 1000.0, 3),
-            "mean_ms": round(mean_s * 1000.0, 3),
-            "max_ms": round(max_s * 1000.0, 3),
-        }
-
-
-class PerfRegistry:
-    """A named collection of counters and timers with one snapshot call.
-
-    Creation is lock-guarded so concurrent first requests for the same name
-    share one object; the counters/timers themselves stay lock-free.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: dict[str, CacheCounter] = {}
-        self._timers: dict[str, Timer] = {}
-
-    def counter(self, name: str) -> CacheCounter:
-        with self._lock:
-            counter = self._counters.get(name)
-            if counter is None:
-                counter = self._counters[name] = CacheCounter(name)
-            return counter
-
-    def timer(self, name: str) -> Timer:
-        with self._lock:
-            timer = self._timers.get(name)
-            if timer is None:
-                timer = self._timers[name] = Timer(name)
-            return timer
-
-    def reset(self) -> None:
-        with self._lock:
-            for counter in self._counters.values():
-                counter.reset()
-            for timer in self._timers.values():
-                timer.reset()
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "counters": {
-                    name: c.snapshot() for name, c in sorted(self._counters.items())
-                },
-                "timers": {
-                    name: t.snapshot() for name, t in sorted(self._timers.items())
-                },
-            }
-
-
-#: Process-wide default registry for ad-hoc instrumentation.
-PERF = PerfRegistry()
 
 
 def aggregate_stats(snapshots: list[dict]) -> dict:

@@ -16,6 +16,11 @@ One :class:`LabelingEngine` wraps the naming pipeline
   :class:`BatchOutcome` results: one bad corpus degrades to an error entry
   and never kills the batch.  ``repro table6 --jobs N`` and
   :func:`repro.experiment.run_all_domains` ride the same executor.
+  :meth:`LabelingEngine.label_batch` has one body for both executors
+  (parse, dedupe, then each unique item through the same resilience and
+  cache stack as a single request); the executor decides only where the
+  compute step runs — in-process, or in a
+  :class:`~repro.service.parallel.WorkerPool` worker.
 
 The engine holds no request state between calls and all shared state (the
 caches, the request index, counters) is lock-guarded, so one engine
@@ -28,14 +33,15 @@ from __future__ import annotations
 import contextvars
 import copy
 import json
-import logging
+import math
 import threading
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..core.pipeline import NamingOptions, label_corpus
 from ..obs.tracer import Span, current_span, current_trace
@@ -75,13 +81,33 @@ __all__ = [
     "LabelingRequest",
     "RequestError",
     "execute_batch",
+    "validate_timeout",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class RequestError(ValueError):
     """A request that cannot be executed (maps to HTTP 400)."""
+
+
+def validate_timeout(timeout) -> float | None:
+    """A per-item ``timeout`` in seconds: ``None``, or a finite number > 0.
+
+    The one check behind the ``/label`` payload key, the ``/batch`` key and
+    ``label_batch(timeout=)``; anything else raises :class:`RequestError`.
+    """
+    if timeout is None:
+        return None
+    if (
+        isinstance(timeout, bool)
+        or not isinstance(timeout, (int, float))
+        or not math.isfinite(timeout)
+        or timeout <= 0
+    ):
+        raise RequestError(
+            f"'timeout' must be a finite number of seconds greater than 0, "
+            f"got {timeout!r}"
+        )
+    return float(timeout)
 
 
 @dataclass
@@ -138,14 +164,7 @@ class LabelingRequest:
             except (ValueError, TypeError) as exc:
                 raise RequestError(f"invalid lexicon overlay: {exc}") from None
 
-        timeout = payload.get("timeout")
-        if timeout is not None:
-            try:
-                timeout = float(timeout)
-            except (TypeError, ValueError):
-                raise RequestError("'timeout' must be a number of seconds") from None
-            if timeout <= 0:
-                raise RequestError("'timeout' must be positive")
+        timeout = validate_timeout(payload.get("timeout"))
 
         domain, seed = None, 0
         interfaces = mapping = key = digest = None
@@ -278,19 +297,16 @@ def _run_timed(task: Callable[[], object]) -> BatchOutcome:
     return BatchOutcome(ok=True, value=value, elapsed_ms=elapsed)
 
 
-def _run_timed_chunk(tasks: Sequence[Callable[[], object]]) -> list[BatchOutcome]:
-    """Worker-side body for the process backend: run a chunk of tasks.
+def _run_isolated(task: Callable[[], object]) -> BatchOutcome:
+    """Worker-side body for ``execute_batch(executor="process")``.
 
-    Same classification as :func:`_run_timed`, but ``exception`` is dropped
-    from every outcome — exception objects are not reliably picklable and
-    the parent only needs the classified ``error``/``error_type``/``detail``.
+    Classifies the task where it ran, like :func:`_run_timed`, and drops
+    ``exception``: exception objects are not reliably picklable and the
+    parent only needs the classified ``error``/``error_type``/``detail``.
     """
-    outcomes = []
-    for task in tasks:
-        outcome = _run_timed(task)
-        outcome.exception = None
-        outcomes.append(outcome)
-    return outcomes
+    outcome = _run_timed(task)
+    outcome.exception = None
+    return outcome
 
 
 def _timeout_outcome(timeout: float | None) -> BatchOutcome:
@@ -302,22 +318,11 @@ def _timeout_outcome(timeout: float | None) -> BatchOutcome:
     )
 
 
-def _chunk_tasks(tasks: Sequence, chunksize: int) -> list[tuple[int, list]]:
-    """Split ``tasks`` into ``(start_index, chunk)`` pairs of ``chunksize``."""
-    return [
-        (start, list(tasks[start : start + chunksize]))
-        for start in range(0, len(tasks), chunksize)
-    ]
-
-
 def execute_batch(
     tasks: Sequence[Callable[[], object]],
     jobs: int = 1,
     timeout: float | None = None,
     executor: str = "thread",
-    initializer: Callable | None = None,
-    initargs: tuple = (),
-    chunksize: int | None = None,
     mp_context=None,
 ) -> list[BatchOutcome]:
     """Run ``tasks`` with bounded concurrency and full error isolation.
@@ -330,92 +335,60 @@ def execute_batch(
     how long the caller waits for each item's result (queueing included);
     a worker thread past its deadline is abandoned, not interrupted.
 
-    ``executor="process"`` fans the tasks over a ``ProcessPoolExecutor``
-    instead: tasks (and their results) must be picklable, ``initializer``/
-    ``initargs`` warm each worker exactly once (see
-    :func:`repro.service.parallel.init_worker`), and tasks ship in chunks —
-    ``chunksize`` defaults to ``len(tasks) // (jobs * 4)`` so each worker
-    sees a few chunks for load balance, or 1 whenever a per-item ``timeout``
-    is set (a timeout must bound one item, not a whole chunk).  Error
-    isolation is preserved: an exception in a worker comes back as an error
-    outcome (its ``exception`` object stays in the worker; only the
-    classified error crosses the pipe), and a pool whose workers fail to
-    bootstrap (``BrokenProcessPool``) falls back to the thread backend with
-    a logged warning rather than failing the batch.  ``mp_context`` selects
-    the multiprocessing start method (tests exercise ``spawn``).
+    ``executor="process"`` (with ``jobs > 1``) runs each task in a worker
+    of a :class:`~repro.service.parallel.WorkerPool` from the same thread
+    fan-out: tasks and their results must be picklable, a worker classifies
+    its own task's error (the exception object stays in the worker), and a
+    pool whose workers fail to bootstrap runs the tasks in-process with a
+    logged warning.  ``mp_context`` selects the multiprocessing start method
+    (tests exercise ``spawn``).
     """
-    from .parallel import normalize_jobs, validate_executor
+    from .parallel import WorkerPool, normalize_jobs, validate_executor
 
     executor = validate_executor(executor)
     jobs = normalize_jobs(jobs)
-    if executor == "thread" or jobs == 1:
-        if jobs == 1 and timeout is None:
-            return [_run_timed(task) for task in tasks]
+    if executor == "process" and jobs > 1:
+        with WorkerPool(jobs, mp_context) as pool:
+            outcomes = _fan_out(
+                [partial(pool.run, _run_isolated, task) for task in tasks],
+                jobs,
+                timeout,
+            )
+        # An ok outcome carries the worker's own outcome for its task.
+        return [outcome.value if outcome.ok else outcome for outcome in outcomes]
+    return _fan_out(tasks, jobs, timeout)
 
-        outcomes: list[BatchOutcome] = []
-        with ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="repro-batch"
-        ) as pool:
-            futures = [pool.submit(_run_timed, task) for task in tasks]
-            for future in futures:
-                try:
-                    outcomes.append(future.result(timeout=timeout))
-                except FutureTimeoutError:
-                    future.cancel()
-                    outcomes.append(_timeout_outcome(timeout))
-        return outcomes
 
-    if chunksize is None:
-        chunksize = 1 if timeout is not None else max(1, len(tasks) // (jobs * 4))
-    chunks = _chunk_tasks(tasks, max(1, int(chunksize)))
-    slots: list[BatchOutcome | None] = [None] * len(tasks)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=initializer,
-            initargs=initargs,
-            mp_context=mp_context,
-        ) as pool:
-            submitted = [
-                (start, chunk, pool.submit(_run_timed_chunk, chunk))
-                for start, chunk in chunks
-            ]
-            for start, chunk, future in submitted:
-                try:
-                    results = future.result(timeout=timeout)
-                except FutureTimeoutError:
-                    future.cancel()
-                    results = [_timeout_outcome(timeout) for _ in chunk]
-                except BrokenProcessPool:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 — isolation
-                    results = [
-                        BatchOutcome(
-                            ok=False,
-                            error=f"{type(exc).__name__}: {exc}",
-                            error_type="internal",
-                        )
-                        for _ in chunk
-                    ]
-                for offset, outcome in enumerate(results[: len(chunk)]):
-                    slots[start + offset] = outcome
-    except BrokenProcessPool as exc:
-        # Worker bootstrap failed (e.g. unpicklable initializer state under
-        # a spawn start method).  The tasks themselves are plain callables,
-        # so degrade to the thread backend rather than failing the batch.
-        log.warning(
-            "process pool broke (%s); falling back to thread backend for %d tasks",
-            exc,
-            len(tasks),
-        )
-        return execute_batch(tasks, jobs=jobs, timeout=timeout, executor="thread")
-    return [
-        outcome
-        if outcome is not None
-        else BatchOutcome(ok=False, error="worker produced no result",
-                          error_type="internal")
-        for outcome in slots
-    ]
+def _fan_out(
+    tasks: Sequence[Callable[[], object]], jobs: int, timeout: float | None
+) -> list[BatchOutcome]:
+    if jobs == 1 and timeout is None:
+        return [_run_timed(task) for task in tasks]
+
+    outcomes: list[BatchOutcome] = []
+    with ThreadPoolExecutor(
+        max_workers=jobs, thread_name_prefix="repro-batch"
+    ) as pool:
+        futures = [pool.submit(_run_timed, task) for task in tasks]
+        for future in futures:
+            try:
+                outcomes.append(future.result(timeout=timeout))
+            except FutureTimeoutError:
+                future.cancel()
+                outcomes.append(_timeout_outcome(timeout))
+    return outcomes
+
+
+#: Response keys that belong to one request, not to the corpus: lint is
+#: asked for per request, ``cached`` and retry/fault provenance describe
+#: how this request was answered.  The cache stores the response without
+#: them.
+_REQUEST_KEYS = ("cached", "lint", "resilience")
+
+
+def _cacheable(response: dict) -> dict:
+    """The fingerprint-determined part of ``response`` (shallow)."""
+    return {k: v for k, v in response.items() if k not in _REQUEST_KEYS}
 
 
 def _lint_findings_to_dicts(findings) -> list[dict]:
@@ -588,13 +561,15 @@ class LabelingEngine:
             raise outcome.exception
         raise RuntimeError(outcome.error)
 
-    def _label_request(self, request: LabelingRequest) -> dict:
+    def _label_request(self, request: LabelingRequest, pool=None) -> dict:
         """One item, with the full resilience stack around the pipeline.
 
         Breaker check → fault scope → bounded retry → provenance.  The
         ``resilience`` key is attached only when something actually
         happened (a retry or an injected fault), so fault-free responses
         stay byte-identical to those of an engine with no plan at all.
+        ``pool`` (a :class:`~repro.service.parallel.WorkerPool`) moves the
+        compute step of a cache miss into a worker process.
         """
         with self._lock:
             self._requests += 1
@@ -605,7 +580,7 @@ class LabelingEngine:
             if not allowed:
                 obs_event("breaker.rejected", state=breaker.state)
                 raise CircuitOpenError(request.fingerprint, breaker.retry_after())
-        attempt_fn, retry_sleep = self._attempt_fn(request, traced)
+        attempt_fn, retry_sleep = self._attempt_fn(request, traced, pool)
         with fault_scope(self.fault_plan, request.fingerprint) as scope:
             try:
                 response, attempts = self.retry.call(
@@ -641,17 +616,17 @@ class LabelingEngine:
             obs_event("breaker.transition", **{"from": before, "to": after})
         return result
 
-    def _attempt_fn(self, request: LabelingRequest, traced: bool):
+    def _attempt_fn(self, request: LabelingRequest, traced: bool, pool):
         """The retry body and sleep hook, span-wrapped when tracing is on."""
         if not traced:
-            return (lambda: self._label_once(request)), time.sleep
+            return (lambda: self._label_once(request, pool)), time.sleep
 
         counter = {"n": 0}
 
         def attempt():
             counter["n"] += 1
             with obs_span("engine.attempt", attempt=counter["n"]):
-                return self._label_once(request)
+                return self._label_once(request, pool)
 
         def sleep(delay: float) -> None:
             obs_event("retry.backoff", delay_ms=round(delay * 1000.0, 3))
@@ -659,7 +634,7 @@ class LabelingEngine:
 
         return attempt, sleep
 
-    def _label_once(self, request: LabelingRequest) -> dict:
+    def _label_once(self, request: LabelingRequest, pool) -> dict:
         """Cache lookup + pipeline run — the unit the retry policy repeats."""
         spec = maybe_inject("cache.get", key=request.fingerprint)
         if spec is not None and spec.kind == "corrupt":
@@ -674,21 +649,21 @@ class LabelingEngine:
             if sp is not None:
                 sp.tags["outcome"] = outcome
         if cached is not None:
-            response = copy.deepcopy(cached)
-            response["cached"] = True
-            if request.include_lint:
-                response["lint"] = self._lint_tree(response["tree"], request)
-            return response
-        response = self._execute(request)
-        # Lint is keyed by the request, not the corpus content, so the
-        # cached entry stores only the fingerprint-determined part; the
-        # same goes for retry/fault provenance (attached by the caller).
-        stored = copy.deepcopy(response)
-        stored.pop("lint", None)
+            return self._hit(cached, request)
+        response = self._compute(request, pool)
+        stored = copy.deepcopy(_cacheable(response))
         self.cache.put(request.fingerprint, stored)
         if self.disk is not None:
             self.disk.put(request.fingerprint, stored)
         response["cached"] = False
+        return response
+
+    def _hit(self, cached: dict, request: LabelingRequest) -> dict:
+        """A stored response served to ``request``: a cache hit or a duplicate."""
+        response = copy.deepcopy(cached)
+        response["cached"] = True
+        if request.include_lint:
+            response["lint"] = self._lint_tree(response["tree"], request)
         return response
 
     def _disk_lookup(self, fingerprint: str):
@@ -717,11 +692,45 @@ class LabelingEngine:
                 self._breakers[fingerprint] = breaker
         return breaker
 
-    def _execute(self, request: LabelingRequest) -> dict:
-        interfaces, mapping = request.corpus()
-        start = time.perf_counter()
+    def _compute(self, request: LabelingRequest, pool) -> dict:
+        """Run the compute step here, or in a worker when ``pool`` is given.
+
+        Either way the computation, its oracle checks and (when tracing)
+        its spans count in this engine, and a violation raises here.
+        """
         with self._lock:
             self._computations += 1
+        if pool is None:
+            response, report = self._execute(request, self.verify)
+        else:
+            from .parallel import compute_in_worker
+
+            trace = current_trace()
+            dispatched = trace.clock() if trace is not None else 0.0
+            response, report, tree = pool.run(
+                compute_in_worker, request, self.verify, trace is not None
+            )
+            if tree is not None:
+                # Re-base the worker's span tree onto this trace's timeline.
+                current_span().children.append(
+                    Span.from_dict(tree, base_s=dispatched)
+                )
+        if report is not None:
+            with self._lock:
+                self._oracle_checks += report.checks
+                self._oracle_failures += len(report.violations)
+            report.raise_if_failed()
+        return response
+
+    def _execute(self, request: LabelingRequest, verify: str):
+        """The compute step: pipeline, verification, response and lint.
+
+        Returns ``(response, report)``; ``report`` is the oracle report when
+        ``verify`` is ``"strict"``, else ``None``.  The caller counts and
+        raises on it, so a worker process can ship it home.
+        """
+        interfaces, mapping = request.corpus()
+        start = time.perf_counter()
         comparator = self._comparator_for(request)
         maybe_inject("engine.execute", key=request.fingerprint)
         with obs_span(
@@ -736,7 +745,8 @@ class LabelingEngine:
                 options=request.options,
                 domain=request.domain,
             )
-        if self.verify == "strict":
+        report = None
+        if verify == "strict":
             from ..testing.oracles import verify_labeling
 
             with obs_span("verify.oracles") as sp:
@@ -744,10 +754,6 @@ class LabelingEngine:
                 if sp is not None:
                     sp.tags["checks"] = report.checks
                     sp.tags["violations"] = len(report.violations)
-            with self._lock:
-                self._oracle_checks += report.checks
-                self._oracle_failures += len(report.violations)
-            report.raise_if_failed()
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         leaves = list(root.leaves())
         internal = [n for n in root.internal_nodes() if n is not root]
@@ -778,7 +784,7 @@ class LabelingEngine:
             response["lint"] = _lint_findings_to_dicts(
                 lint_interface(root, comparator)
             )
-        return response
+        return response, report
 
     def _lint_tree(self, tree: dict, request: LabelingRequest) -> list[dict]:
         """Lint a serialized tree (a cached response) for this request."""
@@ -859,56 +865,87 @@ class LabelingEngine:
         Invalid or failing items degrade to ``{"ok": false, ...}`` entries
         in their slot — a poisoned corpus never takes the batch down.
 
-        ``executor="process"`` routes computation through a warm
-        ``ProcessPoolExecutor`` (see :meth:`_label_batch_process`); the
-        engine falls back to the thread backend whenever the process one
-        cannot apply — ``jobs <= 1`` (nothing to parallelize) or an active
-        ``fault_plan`` (fault injection mutates shared state the workers
-        cannot see, and the plan itself must observe every attempt).
+        One body serves both executors.  Every payload is parsed here; with
+        the cache on, repeats of a fingerprint are answered from its first
+        copy the way a cache hit is (with caching off each one is
+        recomputed).  Each unique item then goes through
+        :meth:`_label_request` — breaker, fault scope, retry, cache — on
+        :func:`execute_batch`'s thread fan-out.  ``executor="process"`` only
+        moves the compute step of a miss into a
+        :class:`~repro.service.parallel.WorkerPool` worker; it stays
+        in-process when ``jobs <= 1`` or a ``fault_plan`` is active (the
+        pipeline's fault-injection points need this process's plan state).
         """
-        from .parallel import normalize_jobs, validate_executor
+        from .parallel import WorkerPool, normalize_jobs, validate_executor
 
         jobs = self.default_jobs if jobs is None else normalize_jobs(jobs)
         if executor is None:
             executor = self.default_executor
         else:
             executor = validate_executor(executor)
+        timeout = validate_timeout(timeout)
         with obs_span(
             "engine.batch", items=len(payloads), jobs=jobs, executor=executor
         ):
-            if executor == "process" and jobs > 1 and self.fault_plan is None:
-                return self._label_batch_process(payloads, jobs, timeout)
+            entries: list[dict | None] = [None] * len(payloads)
+            unique: list[tuple[int, LabelingRequest]] = []
+            duplicates: list[tuple[int, LabelingRequest, int]] = []
+            first: dict[str, int] = {}
+            for index, payload in enumerate(payloads):
+                try:
+                    request = self.parse(payload)
+                except RequestError as exc:
+                    entries[index] = self._outcome_entry(BatchOutcome(
+                        ok=False, error=str(exc), error_type="invalid_request"
+                    ))
+                    continue
+                if self.cache.capacity > 0 and request.fingerprint in first:
+                    duplicates.append((index, request, first[request.fingerprint]))
+                else:
+                    first[request.fingerprint] = index
+                    unique.append((index, request))
+
             trace = current_trace()
             parent = current_span()
+            spans: list[Span | None] = [None] * len(payloads)
             if trace is not None and parent is not None:
-                # Fan-out tracing: pre-create one span per item in submission
-                # order (deterministic tree shape), and have each worker
-                # thread attach its own scope rooted at its item's span.
-                tasks = []
-                for index, payload in enumerate(payloads):
-                    item_span = Span(f"item[{index}]")
-                    item_span.start_s = item_span.end_s = trace.clock()
-                    parent.children.append(item_span)
-                    tasks.append(self._traced_task(trace, item_span, payload))
-            else:
-                tasks = [
-                    (lambda p=payload: self._label_request(self.parse(p)))
-                    for payload in payloads
-                ]
-            responses: list[dict] = []
-            for outcome in execute_batch(tasks, jobs=jobs, timeout=timeout):
-                if outcome.ok:
-                    responses.append(outcome.value)
-                else:
-                    responses.append(self._outcome_entry(outcome))
-            return responses
+                # Fan-out tracing: one span per payload in submission order
+                # (deterministic tree shape); each item's thread attaches
+                # its own scope rooted at its span.
+                for index in range(len(payloads)):
+                    spans[index] = Span(f"item[{index}]")
+                    spans[index].start_s = spans[index].end_s = trace.clock()
+                    parent.children.append(spans[index])
 
-    def _traced_task(self, trace, item_span: Span, payload) -> Callable[[], dict]:
-        def run() -> dict:
-            with trace.attach(item_span):
-                return self._label_request(self.parse(payload))
+            def run(request: LabelingRequest, item_span: Span | None) -> dict:
+                if item_span is None:
+                    return self._label_request(request, pool)
+                with trace.attach(item_span):
+                    return self._label_request(request, pool)
 
-        return run
+            remote = executor == "process" and jobs > 1 and self.fault_plan is None
+            with WorkerPool(jobs) if remote else nullcontext() as pool:
+                outcomes = execute_batch(
+                    [partial(run, request, spans[index]) for index, request in unique],
+                    jobs=jobs,
+                    timeout=timeout,
+                )
+            for (index, _request), outcome in zip(unique, outcomes):
+                entries[index] = (
+                    outcome.value if outcome.ok else self._outcome_entry(outcome)
+                )
+            for index, request, origin in duplicates:
+                answer = entries[origin]
+                with self._lock:
+                    self._requests += 1
+                    if not answer["ok"]:
+                        self._errors += 1
+                entries[index] = (
+                    self._hit(_cacheable(answer), request)
+                    if answer["ok"]
+                    else copy.deepcopy(answer)
+                )
+            return entries
 
     @staticmethod
     def _outcome_entry(outcome: BatchOutcome) -> dict:
@@ -921,156 +958,6 @@ class LabelingEngine:
         if outcome.detail:
             entry.update(outcome.detail)
         return entry
-
-    def _label_batch_process(
-        self,
-        payloads: Sequence,
-        jobs: int,
-        timeout: float | None,
-    ) -> list[dict]:
-        """The process backend: parse + cache in the parent, compute in workers.
-
-        Payloads are validated in the parent (invalid ones degrade to error
-        entries without ever touching the pool), deduplicated by corpus
-        fingerprint, and answered from the parent's result cache where
-        possible.  Only cache misses ship to workers — as raw payload dicts
-        (always picklable), re-parsed next to the data by the worker's warm
-        engine (:func:`repro.service.parallel.init_worker` built it once,
-        around the compiled lexicon that arrived with the initializer).
-        Results flow back as JSON-ready dicts and are stored in the parent
-        cache exactly as a thread-backend computation would have been.
-
-        The per-item resilience stack (retry, per-fingerprint breakers) runs
-        inside each worker's engine; the parent's breakers are not consulted
-        — the process backend is for fault-free bulk work, which is why an
-        active ``fault_plan`` forces the thread fallback in
-        :meth:`label_batch`.
-        """
-        from ..lexicon.compiled import default_compiled
-        from .parallel import PayloadTask, init_worker
-
-        entries: list[dict | None] = [None] * len(payloads)
-        requests: dict[int, LabelingRequest] = {}
-        pending: dict[str, list[int]] = {}
-        for index, payload in enumerate(payloads):
-            try:
-                request = self.parse(payload)
-            except RequestError as exc:
-                entries[index] = {
-                    "ok": False,
-                    "error": str(exc),
-                    "error_type": "invalid_request",
-                    "elapsed_ms": 0.0,
-                }
-                continue
-            with self._lock:
-                self._requests += 1
-            requests[index] = request
-            cached = self._cached_response(request)
-            if cached is not None:
-                entries[index] = cached
-                continue
-            # Dedupe by fingerprint only when the cache could have served
-            # the repeats — with caching disabled the thread backend
-            # recomputes every duplicate, and this path must match it.
-            key = (
-                request.fingerprint
-                if self.cache.capacity > 0
-                else f"{request.fingerprint}#{index}"
-            )
-            pending.setdefault(key, []).append(index)
-
-        if pending:
-            order = list(pending.items())
-            trace = current_trace()
-            parent = current_span()
-            task_spans: list[Span] | None = None
-            if trace is not None and parent is not None:
-                # Mirror execute_batch's default chunking so each item span
-                # carries the chunk it actually shipped in.
-                chunksize = (
-                    1 if timeout is not None else max(1, len(order) // (jobs * 4))
-                )
-                task_spans = []
-                for position, (_key, indices) in enumerate(order):
-                    sp = Span(f"item[{indices[0]}]", {"chunk": position // chunksize})
-                    sp.start_s = sp.end_s = trace.clock()
-                    parent.children.append(sp)
-                    task_spans.append(sp)
-            tasks = [
-                PayloadTask(payloads[indices[0]], trace=task_spans is not None)
-                for _, indices in order
-            ]
-            outcomes = execute_batch(
-                tasks,
-                jobs=jobs,
-                timeout=timeout,
-                executor="process",
-                initializer=init_worker,
-                initargs=(default_compiled(),),
-            )
-            for position, ((_key, indices), outcome) in enumerate(
-                zip(order, outcomes)
-            ):
-                if outcome.ok:
-                    with self._lock:
-                        self._computations += 1  # computed in a worker process
-                    response = outcome.value
-                    worker_tree = (
-                        response.pop("_obs_trace", None)
-                        if isinstance(response, dict)
-                        else None
-                    )
-                    if task_spans is not None and worker_tree:
-                        # Graft the worker-process span tree under this
-                        # item's span, re-based onto the parent timeline.
-                        sp = task_spans[position]
-                        grafted = Span.from_dict(worker_tree, base_s=sp.start_s)
-                        sp.children.append(grafted)
-                        sp.end_s = grafted.end_s
-                    stored = copy.deepcopy(response)
-                    for volatile in ("cached", "lint", "resilience", "_obs_trace"):
-                        stored.pop(volatile, None)
-                    self._store_response(
-                        requests[indices[0]].fingerprint, stored, requests[indices[0]]
-                    )
-                    entries[indices[0]] = response
-                    for duplicate in indices[1:]:
-                        repeat = copy.deepcopy(stored)
-                        repeat["cached"] = True
-                        if requests[duplicate].include_lint:
-                            repeat["lint"] = self._lint_tree(
-                                repeat["tree"], requests[duplicate]
-                            )
-                        entries[duplicate] = repeat
-                else:
-                    with self._lock:
-                        self._errors += len(indices)
-                    for index in indices:
-                        entries[index] = self._outcome_entry(outcome)
-
-        return [entry for entry in entries if entry is not None]
-
-    def _cached_response(self, request: LabelingRequest) -> dict | None:
-        """A cache hit shaped exactly like the thread path's hit, or ``None``."""
-        cached = self.cache.get(request.fingerprint)
-        if cached is None:
-            cached = self._disk_lookup(request.fingerprint)
-        if cached is None:
-            return None
-        response = copy.deepcopy(cached)
-        response["cached"] = True
-        if request.include_lint:
-            response["lint"] = self._lint_tree(response["tree"], request)
-        return response
-
-    def _store_response(
-        self, fingerprint: str, stored: dict, request: LabelingRequest
-    ) -> None:
-        """Store an already-sanitized response in every cache layer."""
-        self.cache.put(fingerprint, stored)
-        if self.disk is not None:
-            self.disk.put(fingerprint, stored)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle.

@@ -1,19 +1,18 @@
-"""Process-pool plumbing for the batch backend: worker warm-up + tasks.
+"""Process-pool plumbing for the batch backend: the pool helper + worker state.
 
-The thread backend in :func:`repro.service.engine.execute_batch` is bounded
-by the GIL for the CPU-heavy parts of the pipeline (the ``Combine*``
-closure, the Definition-1 token loops).  The process backend fans the same
-work over a ``ProcessPoolExecutor``; everything that crosses the process
-boundary lives in this module so it is importable — hence picklable — from
-worker processes:
+A batch runs on one thread fan-out (:func:`repro.service.engine.execute_batch`)
+whatever the executor.  Pure-Python labeling is bounded by the GIL there, so
+the process backend moves the CPU-heavy compute step into worker processes;
+everything that crosses the process boundary lives in this module so it is
+importable — hence picklable — from worker processes:
 
-* :func:`init_worker` — the pool initializer.  It receives one
-  :class:`~repro.lexicon.compiled.CompiledLexicon` (pickled once per
-  worker, never per task) and builds the worker's long-lived comparator
-  and cache-less engine.  Every task dispatched to that worker reuses them.
-* :class:`PayloadTask` — one labeling payload as a picklable callable; its
-  result is the engine's JSON-ready response dict, so nothing exotic rides
-  the return pickle.
+* :class:`WorkerPool` — a ``ProcessPoolExecutor`` started on the first call
+  that needs a worker, each worker warmed once by :func:`init_worker` with
+  the parent's compiled lexicon.  A pool whose workers fail to bootstrap
+  (``BrokenProcessPool``) logs one warning and runs every call in-process.
+* :func:`compute_in_worker` — the engine's compute step as a worker runs
+  it: a parsed request in; the response, the oracle report and (when the
+  parent traces) the worker's span tree out.
 * :func:`default_jobs` — the documented CPU-derived default the ``batch``,
   ``serve`` and ``chaos`` CLI subcommands share.
 
@@ -24,17 +23,24 @@ initializer, and globals are how that state survives across tasks.
 
 from __future__ import annotations
 
+import logging
 import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 __all__ = [
     "EXECUTORS",
-    "PayloadTask",
+    "WorkerPool",
+    "compute_in_worker",
     "default_jobs",
     "init_worker",
     "normalize_jobs",
     "worker_comparator",
     "worker_engine",
 ]
+
+log = logging.getLogger(__name__)
 
 #: The executor kinds the batch backend accepts.
 EXECUTORS = ("thread", "process")
@@ -99,10 +105,8 @@ def init_worker(compiled) -> None:
     """Pool initializer: build the worker's comparator + engine once.
 
     ``compiled`` is the parent's :class:`CompiledLexicon` — immutable and
-    cheaply pickled, it arrives exactly once per worker.  The engine is
-    cache-less (the parent process owns result caching) and breaker-less
-    (the process backend only runs fault-free work; resilient traffic
-    falls back to the thread backend).
+    cheaply pickled, it arrives exactly once per worker.  The engine only
+    runs the compute step: the parent owns caching, breakers and retries.
     """
     from ..core.label import LabelAnalyzer
     from ..core.semantics import SemanticComparator
@@ -121,8 +125,8 @@ def worker_comparator():
 
 
 def worker_engine():
-    """The warm per-worker engine, building a default one if the pool was
-    created without an initializer (defensive; normal pools always init)."""
+    """The warm per-worker engine, building a default one where no
+    initializer ran (a pool that broke computes in the parent process)."""
     engine = _WORKER.get("engine")
     if engine is None:
         from ..lexicon.compiled import default_compiled
@@ -132,42 +136,89 @@ def worker_engine():
     return engine
 
 
-class PayloadTask:
-    """One labeling payload as a picklable zero-argument callable.
+def compute_in_worker(request, verify: str, traced: bool):
+    """The engine's compute step for one parsed request, run in a worker.
 
-    Calling it inside a worker routes the payload through the worker's
-    warm engine; the return value is the engine's JSON-ready response
-    dict.  Errors propagate as exceptions for the caller's
-    :class:`~repro.service.engine.BatchOutcome` classification.
+    Returns ``(response, report, span_tree)``.  The oracle ``report`` (``None``
+    unless ``verify`` is ``"strict"``) goes back for the parent to count and
+    raise on; ``span_tree`` is the worker's own trace, relative to its
+    start, when the parent is tracing (``None`` otherwise).
+    """
+    engine = worker_engine()
+    if not traced:
+        return (*engine._execute(request, verify), None)
+    from ..obs.tracer import Trace
+
+    trace = Trace(name="worker")
+    trace.root.tags["pid"] = os.getpid()
+    with trace.scope():
+        response, report = engine._execute(request, verify)
+    return response, report, trace.root.to_dict(trace.root.start_s)
+
+
+class WorkerPool:
+    """A process pool started on first use; in-process work once it breaks.
+
+    One instance serves one batch.  The batch's fan-out threads call
+    :meth:`run` concurrently; the first call starts the pool, so a batch
+    that never needs a worker starts none.  Use it as a context manager:
+    leaving it shuts the workers down.
     """
 
-    __slots__ = ("payload", "trace")
+    def __init__(self, jobs: int, mp_context=None) -> None:
+        self.jobs = jobs
+        self.mp_context = mp_context
+        self._pool: ProcessPoolExecutor | None = None
+        self._broken = False
+        self._lock = threading.Lock()
 
-    def __init__(self, payload, trace: bool = False) -> None:
-        self.payload = payload
-        self.trace = trace
+    def run(self, fn, *args):
+        """``fn(*args)`` in a worker; in the calling thread if the pool broke.
 
-    def __call__(self) -> dict:
-        # Mirror the thread backend's task body (parse, then the resilience
-        # wrapper) so both executors classify errors identically.
-        from .engine import LabelingRequest
+        ``fn``, its arguments and its result must be picklable.  An
+        exception ``fn`` raises in the worker is re-raised here.
+        """
+        pool = self._start()
+        if pool is not None:
+            try:
+                return pool.submit(fn, *args).result()
+            except BrokenProcessPool as exc:
+                self._break(exc)
+        return fn(*args)
 
-        engine = worker_engine()
-        request = LabelingRequest.from_payload(self.payload)
-        if not self.trace:
-            return engine._label_request(request)
-        # The parent asked for spans: build a standalone worker-local trace
-        # and ship its tree home inside the response (the parent pops the
-        # key and grafts the tree under this item's span).
-        from ..obs.tracer import Trace
+    def _start(self) -> ProcessPoolExecutor | None:
+        with self._lock:
+            if self._pool is None and not self._broken:
+                from ..lexicon.compiled import default_compiled
 
-        trace = Trace(name="worker")
-        trace.root.tags["pid"] = os.getpid()
-        with trace.scope():
-            response = engine._label_request(request)
-        if isinstance(response, dict):
-            response["_obs_trace"] = trace.root.to_dict(trace.root.start_s)
-        return response
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    initializer=init_worker,
+                    initargs=(default_compiled(),),
+                    mp_context=self.mp_context,
+                )
+            return self._pool
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"PayloadTask({type(self.payload).__name__})"
+    def _break(self, exc: BaseException) -> None:
+        with self._lock:
+            if self._broken:
+                return
+            self._broken = True
+            pool, self._pool = self._pool, None
+        # Worker bootstrap failed (e.g. unpicklable initializer state under
+        # a spawn start method): degrade rather than fail the batch.
+        log.warning("process pool broke (%s); falling back to thread backend", exc)
+        if pool is not None:
+            pool.shutdown(wait=False)
+
+    def close(self) -> None:
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

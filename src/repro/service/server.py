@@ -54,7 +54,7 @@ from ..resilience import (
     OverloadedError,
     TransientFault,
 )
-from .engine import LabelingEngine, RequestError
+from .engine import LabelingEngine, RequestError, validate_timeout
 
 __all__ = ["LabelingServer", "MetricsRegistry", "PayloadTooLargeError"]
 
@@ -353,12 +353,7 @@ class _Handler(BaseHTTPRequestHandler):
         jobs = payload.get("jobs")
         if jobs is not None and (isinstance(jobs, bool) or not isinstance(jobs, int)):
             raise RequestError("'jobs' must be an integer")
-        timeout = payload.get("timeout")
-        if timeout is not None:
-            try:
-                timeout = float(timeout)
-            except (TypeError, ValueError):
-                raise RequestError("'timeout' must be a number of seconds") from None
+        timeout = validate_timeout(payload.get("timeout"))
         with self.server.admission.admit():
             results = self.server.engine.label_batch(
                 payload["requests"], jobs=jobs, timeout=timeout

@@ -383,14 +383,15 @@ class TestTracingChangesNothing:
         ]
         # No worker implementation detail leaks into the responses.
         assert all("_obs_trace" not in r for r in traced)
-        # Each item span carries the re-based worker tree with the phases.
+        # Each item span carries the re-based worker tree with the phases,
+        # after the parent's own cache lookup.
         item_spans = [
             s for s in trace.root.iter_spans() if s.name.startswith("item[")
         ]
         assert len(item_spans) == 2
         for item in item_spans:
-            worker = item.children[0]
-            assert worker.name == "worker"
+            assert item.find("cache.lookup")
+            [worker] = item.find("worker")
             assert worker.find("phase:combine_closure")
 
     def test_cached_and_traced_hits_stay_identical(self):

@@ -1,10 +1,11 @@
 """The process-parallel batch backend: equivalence, isolation, fallback.
 
 The contract under test: ``executor="process"`` is a pure performance
-knob.  Same responses as the thread backend (modulo the timing field),
-same error classification, same stdout for ``repro table6`` byte for
-byte — and a transparent fallback to threads whenever the process pool
-cannot apply (``jobs <= 1`` or an active fault plan).
+knob.  Same responses and engine counters as the thread backend (modulo
+the timing field), same error classification, same stdout for
+``repro table6`` byte for byte — and compute stays in-process whenever the
+process pool cannot apply (``jobs <= 1``, an active fault plan, a broken
+pool).
 """
 
 from __future__ import annotations
@@ -13,16 +14,22 @@ import json
 import logging
 import multiprocessing
 import os
+import time
 
 import pytest
 
+import repro.service.parallel as parallel
 from repro.cli import build_parser, main
+from repro.core.label import LabelAnalyzer
+from repro.core.semantics import SemanticComparator
 from repro.experiment import run_all_domains
-from repro.resilience import FaultPlan
+from repro.lexicon.data import build_default_wordnet
+from repro.resilience import INJECTION_POINTS, BreakerPolicy, FaultPlan, RetryPolicy
 from repro.service.engine import LabelingEngine, execute_batch
 from repro.service.parallel import (
     EXECUTORS,
-    PayloadTask,
+    WorkerPool,
+    compute_in_worker,
     default_jobs,
     normalize_jobs,
     validate_executor,
@@ -108,13 +115,6 @@ def test_execute_batch_process_preserves_order_and_isolation():
         assert failed.exception is None  # never shipped across the pipe
 
 
-def test_execute_batch_process_chunksize_one():
-    outcomes = execute_batch(
-        [_Square(n) for n in range(7)], jobs=3, executor="process", chunksize=1
-    )
-    assert [o.value for o in outcomes] == [n * n for n in range(7)]
-
-
 def test_execute_batch_rejects_unknown_executor():
     with pytest.raises(ValueError, match="executor"):
         execute_batch([_Square(1)], jobs=2, executor="greenlet")
@@ -155,23 +155,171 @@ def test_label_batch_process_default_executor_knob():
     assert results[0]["ok"] and results[1]["cached"] is True
 
 
-def test_payload_task_is_picklable():
+# ----------------------------------------------------------------------
+# One batch path: both executors give the same answers and counters.
+# ----------------------------------------------------------------------
+
+
+AIRLINE = {"domain": "airline", "seed": 0}
+BOOK = {"domain": "book", "seed": 0}
+
+#: Fault points whose firing depends only on the item, not on which memos
+#: a sibling thread warmed first (``lexicon.query`` sits behind them).
+ITEM_KEYED_POINTS = tuple(p for p in INJECTION_POINTS if p != "lexicon.query")
+
+
+def _open_book_breaker(engine, monkeypatch):
+    engine._breaker_for(engine.parse(BOOK).fingerprint).record_failure()
+
+
+def _warm_cache_and_forbid_pool(engine, monkeypatch):
+    for payload in (AIRLINE, BOOK):
+        engine.label(payload)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an all-hit batch started a process pool")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+
+
+def _slow_pipeline(engine, monkeypatch):
+    # Forked pool workers inherit the patch: every computation outlasts a
+    # millisecond timeout however warm the memos are.
+    import repro.service.engine as engine_module
+
+    label_corpus = engine_module.label_corpus
+
+    def slow(*args, **kwargs):
+        time.sleep(0.2)
+        return label_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "label_corpus", slow)
+
+
+def _chaos_engine() -> dict:
+    return {
+        "fault_plan": FaultPlan.random(
+            seed=11, rate=0.5, points=ITEM_KEYED_POINTS
+        ),
+        "retry": RetryPolicy(base_delay_s=0.0005, max_delay_s=0.002),
+        # mutate_lexicon faults must land on a lexicon no other test shares.
+        "comparator": SemanticComparator(LabelAnalyzer(build_default_wordnet())),
+    }
+
+
+#: name -> (engine kwargs factory, payloads, per-item timeout, prepare hook)
+EQUIVALENCE_CASES = {
+    "duplicates": (dict, [AIRLINE, AIRLINE, BOOK, BOOK], None, None),
+    "cache_off": (lambda: {"cache_size": 0}, [AIRLINE, AIRLINE, BOOK], None, None),
+    "lint": (
+        dict,
+        [{**BOOK, "lint": True}, BOOK, {**BOOK, "lint": True}, AIRLINE],
+        None,
+        None,
+    ),
+    "strict": (lambda: {"verify": "strict"}, [AIRLINE, BOOK], None, None),
+    "open_breaker": (
+        lambda: {
+            "breaker": BreakerPolicy(failure_threshold=1, reset_after_s=60.0),
+            "clock": lambda: 0.0,
+        },
+        [AIRLINE, BOOK, BOOK],
+        None,
+        _open_book_breaker,
+    ),
+    "invalid_item": (
+        dict,
+        [AIRLINE, {"domain": "atlantis"}, "not an object", {**BOOK, "timeout": -1}],
+        None,
+        None,
+    ),
+    "item_timeout": (
+        dict,
+        [AIRLINE, AIRLINE, {"domain": "book", "seed": 1}],
+        0.001,
+        _slow_pipeline,
+    ),
+    "all_hits_start_no_pool": (
+        dict, [AIRLINE, BOOK, AIRLINE], None, _warm_cache_and_forbid_pool
+    ),
+    "chaos": (
+        _chaos_engine,
+        [AIRLINE, BOOK, {"domain": "auto", "seed": 0}, AIRLINE],
+        None,
+        None,
+    ),
+}
+
+
+def _run_case(name: str, executor: str, monkeypatch):
+    make_kwargs, payloads, timeout, prepare = EQUIVALENCE_CASES[name]
+    engine = LabelingEngine(**make_kwargs())
+    with monkeypatch.context() as patches:
+        if prepare is not None:
+            prepare(engine, patches)
+        results = engine.label_batch(
+            payloads, jobs=2, timeout=timeout, executor=executor
+        )
+    stats = engine.stats()
+    counters = {key: stats[key] for key in ("requests", "errors", "computations")}
+    counters["oracle"] = stats["resilience"]["oracle"]
+    return [_strip_timing(r) for r in results], counters
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_thread_and_process_engines_agree(case, monkeypatch):
+    thread = _run_case(case, "thread", monkeypatch)
+    process = _run_case(case, "process", monkeypatch)
+    assert process == thread
+    results, counters = thread
+    if case == "duplicates":
+        assert [r["cached"] for r in results] == [False, True, False, True]
+        assert counters["computations"] == 2
+    elif case == "cache_off":
+        assert [r["cached"] for r in results] == [False, False, False]
+        assert counters["computations"] == 3
+    elif case == "strict":
+        assert counters["oracle"]["checks"] > 0
+    elif case == "open_breaker":
+        assert [r.get("error_type") for r in results] == [
+            None, "circuit_open", "circuit_open",
+        ]
+    elif case == "item_timeout":
+        assert [r.get("error_type") for r in results] == ["timeout"] * 3
+        assert counters["errors"] == 1  # the duplicate inherits the timeout
+    elif case == "all_hits_start_no_pool":
+        assert all(r["cached"] for r in results)
+    elif case == "chaos":
+        assert all(r["ok"] for r in results)
+        assert any("resilience" in r for r in results)
+
+
+def test_worker_request_is_picklable():
     import pickle
 
-    task = pickle.loads(pickle.dumps(PayloadTask({"domain": "job", "seed": 0})))
-    assert task.payload == {"domain": "job", "seed": 0}
+    engine = LabelingEngine(cache_size=0)
+    request = engine.parse({"domain": "job", "seed": 0, "lint": True})
+    shipped = pickle.loads(pickle.dumps(request))
+    assert shipped.fingerprint == request.fingerprint
+    assert shipped.include_lint is True
+    with WorkerPool(2) as pool:
+        response, report, tree = pool.run(compute_in_worker, shipped, "off", False)
+    assert report is None and tree is None
+    inline = engine.label(request)
+    assert inline.pop("cached") is False  # set by the cache layer, not the worker
+    assert _strip_timing(response) == _strip_timing(inline)
 
 
 # ----------------------------------------------------------------------
-# Fallback to threads (jobs<=1, fault plan) + shared-comparator safety.
+# Compute stays in-process (jobs<=1, fault plan) + shared-comparator safety.
 # ----------------------------------------------------------------------
 
 
 def test_process_backend_falls_back_on_single_job(monkeypatch):
     engine = LabelingEngine(breaker=None)
     monkeypatch.setattr(
-        engine,
-        "_label_batch_process",
+        WorkerPool,
+        "run",
         lambda *a, **k: pytest.fail("process backend used with jobs=1"),
     )
     results = engine.label_batch(
@@ -185,8 +333,8 @@ def test_process_backend_falls_back_under_fault_plan(monkeypatch):
     shared across those threads must keep its consistency-pair cache exact.
 
     This is the scenario the pair cache sees in production: the chaos
-    harness drives ``executor="process"`` batches that silently degrade to
-    the thread backend, where every worker thread shares one comparator.
+    harness drives ``executor="process"`` batches whose compute stays on
+    the batch's threads, where every worker thread shares one comparator.
     """
     from repro.core.semantics import SemanticComparator
 
@@ -196,8 +344,8 @@ def test_process_backend_falls_back_under_fault_plan(monkeypatch):
         breaker=None, fault_plan=plan, comparator=comparator
     )
     monkeypatch.setattr(
-        engine,
-        "_label_batch_process",
+        WorkerPool,
+        "run",
         lambda *a, **k: pytest.fail("process backend used under a fault plan"),
     )
     payloads = [
@@ -306,6 +454,20 @@ class TestNormalizeJobs:
 # ----------------------------------------------------------------------
 
 
+def _exploding_initializer():
+    os._exit(13)
+
+
+def _explode_worker_bootstrap(monkeypatch):
+    """Make every pool worker die in its initializer."""
+    real = parallel.ProcessPoolExecutor
+
+    def exploding_pool(**kwargs):
+        return real(**{**kwargs, "initializer": _exploding_initializer, "initargs": ()})
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", exploding_pool)
+
+
 class TestSpawnStartMethod:
     def test_execute_batch_under_spawn_context(self):
         # spawn re-imports the worker module from scratch: the
@@ -320,30 +482,49 @@ class TestSpawnStartMethod:
         assert [r.value for r in results] == [0, 1, 4, 9]
         assert all(r.error is None for r in results)
 
-    def test_payload_task_under_spawn_matches_inline(self):
+    def test_worker_compute_under_spawn_matches_inline(self):
         ctx = multiprocessing.get_context("spawn")
         payload = {"domain": "job", "seed": 0}
-        spawned = execute_batch(
-            [PayloadTask(payload)], jobs=2, executor="process", mp_context=ctx
-        )[0]
-        assert spawned.error is None
+        request = LabelingEngine(cache_size=0).parse(payload)
+        with WorkerPool(2, mp_context=ctx) as pool:
+            response, report, tree = pool.run(
+                compute_in_worker, request, "off", False
+            )
+        assert report is None and tree is None
         inline = LabelingEngine(cache_size=0).label(payload)
-        assert _strip_timing(spawned.value) == _strip_timing(inline)
+        inline.pop("cached")
+        assert _strip_timing(response) == _strip_timing(inline)
 
-    def test_broken_pool_falls_back_to_threads_with_warning(self, caplog):
+    def test_broken_pool_falls_back_to_threads_with_warning(
+        self, caplog, monkeypatch
+    ):
         # A worker bootstrap that dies on import must not take the batch
-        # down with it: execute_batch logs and reruns on threads.
-        def exploding_initializer():
-            os._exit(13)
-
-        with caplog.at_level(logging.WARNING, logger="repro.service.engine"):
+        # down with it: the pool logs and runs the tasks in-process.
+        _explode_worker_bootstrap(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="repro.service.parallel"):
             results = execute_batch(
-                [_Square(n) for n in range(3)],
-                jobs=2,
-                executor="process",
-                initializer=exploding_initializer,
+                [_Square(n) for n in range(3)], jobs=2, executor="process"
             )
         assert [r.value for r in results] == [0, 1, 4]
+        assert any(
+            "falling back to thread backend" in record.message
+            for record in caplog.records
+        )
+
+    def test_broken_pool_batch_computes_in_process(self, caplog, monkeypatch):
+        payloads = [{"domain": "airline", "seed": 0}, {"domain": "book", "seed": 0}]
+        expected = LabelingEngine(breaker=None).label_batch(payloads, jobs=1)
+        _explode_worker_bootstrap(monkeypatch)
+        # The in-process fallback warms worker state in this process.
+        monkeypatch.setattr(parallel, "_WORKER", {})
+        engine = LabelingEngine(breaker=None, verify="strict")
+        with caplog.at_level(logging.WARNING, logger="repro.service.parallel"):
+            results = engine.label_batch(payloads, jobs=2, executor="process")
+        assert [_strip_timing(r) for r in results] == [
+            _strip_timing(r) for r in expected
+        ]
+        assert engine.stats()["computations"] == 2
+        assert engine.stats()["resilience"]["oracle"]["checks"] > 0
         assert any(
             "falling back to thread backend" in record.message
             for record in caplog.records

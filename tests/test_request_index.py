@@ -334,8 +334,7 @@ def test_thread_and_process_batches_match_with_shared_comparator():
         return results
 
     def comparable(results: list[dict]) -> list[str]:
-        # Two thread-backend workers may both miss on a duplicate, so
-        # ``cached`` is compared on the process backend only, which dedupes.
+        # ``cached`` is checked below, on the process backend.
         out = []
         for result in results:
             clean = json.loads(json.dumps(result))

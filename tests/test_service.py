@@ -206,6 +206,17 @@ class TestRequestValidation:
         with pytest.raises(RequestError, match="timeout"):
             LabelingRequest.from_payload({"domain": "job", "timeout": -1})
 
+    @pytest.mark.parametrize(
+        "timeout", [0, -1, "nan", "5", True, float("nan"), float("inf")]
+    )
+    def test_one_timeout_rule_for_label_and_batch(self, timeout):
+        with pytest.raises(RequestError, match="'timeout'"):
+            LabelingRequest.from_payload({"domain": "job", "timeout": timeout})
+        with pytest.raises(RequestError, match="'timeout'"):
+            LabelingEngine(cache_size=0).label_batch(
+                [{"domain": "job"}], timeout=timeout
+            )
+
     def test_bad_lexicon(self):
         with pytest.raises(RequestError, match="lexicon"):
             LabelingRequest.from_payload(
@@ -321,6 +332,22 @@ class TestHTTPService:
         assert payload["ok"] is False
         oks = [r.get("ok") for r in payload["results"]]
         assert oks == [True, False]
+
+    @pytest.mark.parametrize("timeout", [0, -1, "nan"])
+    def test_label_rejects_bad_timeout(self, client, timeout):
+        with pytest.raises(ServiceError) as excinfo:
+            client.label(domain="job", seed=0, timeout=timeout)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error_type"] == "invalid_request"
+        assert "'timeout'" in excinfo.value.payload["error"]
+
+    @pytest.mark.parametrize("timeout", [0, -1, "nan"])
+    def test_batch_rejects_bad_timeout(self, client, timeout):
+        with pytest.raises(ServiceError) as excinfo:
+            client.batch([{"domain": "job", "seed": 0}], timeout=timeout)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error_type"] == "invalid_request"
+        assert "'timeout'" in excinfo.value.payload["error"]
 
     def test_metrics_shape(self, client):
         client.healthz()
