@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
+from ..obs.tracer import event as obs_event
 from ..perf import CacheCounter
 from .group_relation import GroupRelation, GroupTuple
 from .semantics import LabelRelation, SemanticComparator
@@ -38,8 +39,10 @@ __all__ = [
     "solutions_of_partition",
 ]
 
-#: Safety bound on the Combine* closure; far above anything the evaluation
-#: corpus produces, present so adversarial inputs cannot blow up memory.
+#: Safety bound on the Combine* closure, so adversarial inputs cannot blow
+#: up memory.  The evaluation corpus does reach it: the job domain's largest
+#: group stops here on every seed tested, and its solutions then depend on
+#: the cap (each stop is counted and traced; see :func:`combine_closure`).
 CLOSURE_LIMIT = 4096
 
 
@@ -55,9 +58,9 @@ class ConsistencyPairCache:
     """Per-run memo for Definition-2 row-pair decisions.
 
     The naming algorithm re-asks the same row pairs many times per group:
-    ``find_partitions`` runs once per ladder level, ``combine_closure``
-    pairs every derived tuple against the originals, and the spanning-tree
-    fallback re-walks the component.  One cache instance scopes one
+    ``find_partitions`` runs once per ladder level and the spanning-tree
+    fallback re-walks the component.  (``combine_closure`` decides its
+    pairs on bitsets and needs no memo.)  One cache instance scopes one
     ``name_group`` run, so a tuple pair is compared at most once per group
     per run — and a long-lived relation stays uncached across runs, which
     keeps the memo small and makes invalidation trivial (drop the object).
@@ -241,7 +244,6 @@ def combine_closure(
     level: ConsistencyLevel,
     comparator: SemanticComparator,
     limit: int = CLOSURE_LIMIT,
-    cache: ConsistencyPairCache | None = None,
 ) -> list[GroupTuple]:
     """Combine* (Definition 3 generalized): all tuples derivable by
     repeatedly combining consistent pairs, duplicates (by label values)
@@ -249,31 +251,122 @@ def combine_closure(
 
     The closure pairs every derived tuple against the *original* rows, which
     reaches every spanning-tree combination of a connected component while
-    keeping the frontier small.
-    """
-    seen: dict[tuple[str | None, ...], GroupTuple] = {}
-    order: list[GroupTuple] = []
-    for t in tuples:
-        if t.key() not in seen:
-            seen[t.key()] = t
-            order.append(t)
+    keeping the frontier small.  Tuples come back in discovery order: the
+    distinct originals, then breadth-first rounds in which each tuple of the
+    last round meets each original, ``Combine(current, original)`` before
+    ``Combine(original, current)``.  The walk stops as soon as ``limit``
+    tuples exist; such a stop is counted in the comparator's ``closures``
+    stats and traced as a ``closure.truncated`` event.
 
-    frontier = list(order)
-    while frontier and len(order) < limit:
-        next_frontier: list[GroupTuple] = []
-        for current in frontier:
-            for original in tuples:
-                if not tuples_consistent(current, original, level, comparator, cache=cache):
-                    continue
-                for merged in (combine(current, original), combine(original, current)):
-                    if merged.key() not in seen:
-                        seen[merged.key()] = merged
-                        order.append(merged)
-                        next_frontier.append(merged)
-                        if len(order) >= limit:
-                            return order
-        frontier = next_frontier
+    The walk runs on bitsets.  Each distinct non-null label of each column
+    owns one bit, and a tuple is the int of its labels' bits.  Combine only
+    copies labels of the originals, so that encoding is closed under Combine
+    and one-to-one with :meth:`GroupTuple.key`.  With ``mask`` the bits of
+    every label a tuple's non-null columns could hold, Combine is
+    ``current | (original & ~current_mask)``; with ``compat`` the bits of
+    every label that witnesses Definition 2 against the original's label in
+    its column, ``tuples_consistent(current, original)`` is
+    ``current & compat != 0``.
+    """
+    if not tuples:
+        return []
+    clusters = tuples[0].clusters
+    if any(t.clusters != clusters for t in tuples):
+        raise ValueError("Combine requires tuples over the same clusters")
+    bit_of: list[dict[str, int]] = [{} for _ in clusters]
+    next_bit = 1
+    for t in tuples:
+        for column, label in zip(bit_of, t.labels):
+            if label is not None and label not in column:
+                column[label] = next_bit
+                next_bit <<= 1
+    column_masks = [sum(column.values()) for column in bit_of]
+    # Argument order as in tuples_consistent(current, original): the
+    # candidate label first, the original's second.
+    witnesses = [
+        {
+            label: sum(
+                bit
+                for other, bit in column.items()
+                if _labels_consistent(other, label, level, comparator)
+            )
+            for label in column
+        }
+        for column in bit_of
+    ]
+
+    # A duplicate row derives nothing its first occurrence has not derived
+    # already, so the walk meets each distinct original once.
+    distinct: dict[int, GroupTuple] = {}
+    originals: list[tuple[int, int, int, str]] = []
+    for t in tuples:
+        code = mask = compat = 0
+        for column, label in enumerate(t.labels):
+            if label is not None:
+                code |= bit_of[column][label]
+                mask |= column_masks[column]
+                compat |= witnesses[column][label]
+        if code not in distinct:
+            distinct[code] = t
+            originals.append((code, mask, compat, t.interface))
+
+    codes, names = _closure_walk(originals, limit)
+    truncated = len(codes) >= limit
+    comparator.closure_counter.record(truncated)
+    if truncated:
+        obs_event("closure.truncated", tuples=len(codes), rows=len(tuples))
+
+    # Decode each derived code column by column: its bits under a column's
+    # mask are one label's bit, or none (a null).
+    label_of = [{bit: label for label, bit in column.items()} for column in bit_of]
+    order = list(distinct.values())
+    for code, name in zip(codes[len(order):], names[len(order):]):
+        labels = tuple(map(dict.get, label_of, map(code.__and__, column_masks)))
+        order.append(GroupTuple(interface=name, labels=labels, clusters=clusters))
     return order
+
+
+def _closure_walk(
+    originals: list[tuple[int, int, int, str]], limit: int
+) -> tuple[list[int], list[str]]:
+    """The Combine* walk of :func:`combine_closure` over encoded tuples.
+
+    ``originals`` holds ``(code, mask, compat, interface)`` per distinct
+    original row; returns every tuple's code and interface name, in
+    discovery order.
+    """
+    codes = [code for code, _, _, _ in originals]
+    masks = [mask for _, mask, _, _ in originals]
+    names = [name for _, _, _, name in originals]
+    seen = set(codes)
+
+    def add(code: int, mask: int, name: str) -> bool:
+        seen.add(code)
+        codes.append(code)
+        masks.append(mask)
+        names.append(name)
+        return len(codes) >= limit
+
+    frontier = range(len(codes))
+    while frontier and len(codes) < limit:
+        start = len(codes)
+        for i in frontier:
+            current, current_mask, current_name = codes[i], masks[i], names[i]
+            for code, mask, compat, name in originals:
+                if not current & compat:
+                    continue
+                merged = current | (code & ~current_mask)
+                if merged not in seen and add(
+                    merged, current_mask | mask, f"{current_name}+{name}"
+                ):
+                    return codes, names
+                merged = code | (current & ~mask)
+                if merged not in seen and add(
+                    merged, current_mask | mask, f"{name}+{current_name}"
+                ):
+                    return codes, names
+        frontier = range(start, len(codes))
+    return codes, names
 
 
 def _spanning_tree_merge(
@@ -323,7 +416,7 @@ def solutions_of_partition(
     projected = [t for t in projected if t.non_null_count() > 0]
     if not projected:
         return []
-    closure = combine_closure(projected, partition.level, comparator, limit, cache)
+    closure = combine_closure(projected, partition.level, comparator, limit)
     complete = [t for t in closure if t.is_complete()]
     if complete:
         return complete

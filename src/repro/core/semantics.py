@@ -49,7 +49,7 @@ from enum import IntEnum
 
 from ..lexicon.normalize import Token
 from ..lexicon.wordnet import MiniWordNet
-from ..perf import CacheCounter
+from ..perf import CacheCounter, ClosureCounter
 from .label import Label, LabelAnalyzer
 
 __all__ = ["LabelRelation", "SemanticComparator"]
@@ -97,6 +97,8 @@ class SemanticComparator:
         self.group_counter = CacheCounter("group_results")
         #: Aggregates the per-run consistency pair caches (Definition 2).
         self.pair_counter = CacheCounter("consistency_pairs")
+        #: Combine* runs and cap hits (:func:`repro.core.consistency.combine_closure`).
+        self.closure_counter = ClosureCounter()
 
     # ------------------------------------------------------------------
     # Coercion and cache plumbing.
@@ -321,7 +323,8 @@ class SemanticComparator:
 
         The hierarchy mirrors the computation: label analyses feed pairwise
         relations, which feed tuple-pair consistency decisions; WordNet
-        memos sit under all of them.  Surfaced through ``GET /metrics``
+        memos sit under all of them.  ``closures`` is no cache: it counts
+        Combine* runs and how many stopped at the closure cap.  Surfaced through ``GET /metrics``
         and ``repro profile``.
         """
         return {
@@ -339,5 +342,6 @@ class SemanticComparator:
                 "size": len(self._group_cache),
             },
             "consistency_pairs": self.pair_counter.snapshot(),
+            "closures": self.closure_counter.snapshot(),
             "wordnet": self.wordnet.cache_stats(),
         }

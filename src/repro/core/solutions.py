@@ -347,7 +347,7 @@ def _name_group_uncached(
     max_level: ConsistencyLevel,
 ) -> GroupNamingResult:
     # One pair cache per naming run: every Definition-2 row-pair decision in
-    # this group — across ladder levels, closure rounds and the partial
+    # this group — across ladder levels, spanning-tree merges and the partial
     # fallback — is made at most once.  Hit/miss counts roll up into the
     # comparator's ``consistency_pairs`` stats.
     cache = ConsistencyPairCache(counter=comparator.pair_counter)

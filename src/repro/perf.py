@@ -13,6 +13,8 @@ the *observability* for it:
 * :class:`CacheCounter` — hit/miss/eviction counts with a derived hit rate;
   every cache in the hierarchy owns one and exposes it via a
   ``cache_stats()`` method.
+* :class:`ClosureCounter` — Combine* runs and how many stopped at the
+  closure cap, reported beside the cache counters.
 * :func:`aggregate_stats` — recursive summation of ``cache_stats()``
   snapshots, what the service engine uses to merge the per-comparator
   numbers into one ``GET /metrics`` section.
@@ -34,6 +36,7 @@ import time
 
 __all__ = [
     "CacheCounter",
+    "ClosureCounter",
     "aggregate_stats",
     "profile_labeling",
 ]
@@ -115,6 +118,32 @@ class CacheCounter:
             f"CacheCounter({self.name!r}, hits={self.hits}, "
             f"misses={self.misses}, evictions={self.evictions})"
         )
+
+
+class ClosureCounter:
+    """Combine* runs, and how many of them stopped at the closure cap.
+
+    Lock-guarded like :class:`CacheCounter`, for the same reason: one
+    comparator serves every thread of a batch.
+    """
+
+    __slots__ = ("runs", "truncated", "_lock")
+
+    def __init__(self) -> None:
+        self.runs = 0
+        self.truncated = 0
+        self._lock = threading.Lock()
+
+    def record(self, truncated: bool) -> None:
+        """Count one closure run, and whether it stopped at the cap."""
+        with self._lock:
+            self.runs += 1
+            self.truncated += truncated
+
+    def snapshot(self) -> dict:
+        """JSON-ready counter values (a consistent read)."""
+        with self._lock:
+            return {"runs": self.runs, "truncated": self.truncated}
 
 
 def aggregate_stats(snapshots: list[dict]) -> dict:

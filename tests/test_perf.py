@@ -17,7 +17,6 @@ import pytest
 from repro.core.consistency import (
     ConsistencyLevel,
     ConsistencyPairCache,
-    combine_closure,
     find_partitions,
 )
 from repro.core.group_relation import GroupRelation
@@ -224,7 +223,7 @@ def test_derived_predicates_match_relation_ladder():
 
 
 # ----------------------------------------------------------------------
-# combine_closure / find_partitions with the pair cache on and off.
+# find_partitions with the pair cache on and off.
 # ----------------------------------------------------------------------
 
 
@@ -245,13 +244,6 @@ def test_pair_cache_does_not_change_closure_or_partitions(domain):
     for relation in _group_relations(domain, seed=0):
         for level in ConsistencyLevel:
             cache = ConsistencyPairCache(counter=lookups)
-            plain = combine_closure(relation.tuples, level, comparator)
-            memoed = combine_closure(
-                relation.tuples, level, comparator, cache=cache
-            )
-            assert [t.key() for t in plain] == [t.key() for t in memoed]
-            assert [t.interface for t in plain] == [t.interface for t in memoed]
-
             parts_plain = find_partitions(relation, level, comparator)
             parts_memo = find_partitions(relation, level, comparator, cache=cache)
             assert [sorted(t.interface for t in p.tuples) for p in parts_plain] \
