@@ -23,13 +23,11 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from ..obs.tracer import event as obs_event
-from ..perf import CacheCounter
 from .group_relation import GroupRelation, GroupTuple
 from .semantics import LabelRelation, SemanticComparator
 
 __all__ = [
     "ConsistencyLevel",
-    "ConsistencyPairCache",
     "Partition",
     "tuples_consistent",
     "combine",
@@ -52,31 +50,6 @@ class ConsistencyLevel(IntEnum):
     STRING = 1
     EQUALITY = 2
     SYNONYMY = 3
-
-
-class ConsistencyPairCache:
-    """Per-run memo for Definition-2 row-pair decisions.
-
-    The naming algorithm re-asks the same row pairs many times per group:
-    ``find_partitions`` runs once per ladder level and the spanning-tree
-    fallback re-walks the component.  (``combine_closure`` decides its
-    pairs on bitsets and needs no memo.)  One cache instance scopes one
-    ``name_group`` run, so a tuple pair is compared at most once per group
-    per run — and a long-lived relation stays uncached across runs, which
-    keeps the memo small and makes invalidation trivial (drop the object).
-
-    The key includes the level, the column restriction, and both rows'
-    cluster/label tuples; consistency is symmetric, so both orders are
-    stored.  Hits and misses roll up into ``counter`` (the comparator's
-    ``pair_counter`` when created by ``name_group``), surfacing in
-    ``cache_stats()`` under ``consistency_pairs``.
-    """
-
-    __slots__ = ("entries", "counter")
-
-    def __init__(self, counter: CacheCounter | None = None) -> None:
-        self.entries: dict = {}
-        self.counter = counter if counter is not None else CacheCounter("pairs")
 
 
 def _labels_consistent(
@@ -106,36 +79,9 @@ def tuples_consistent(
     level: ConsistencyLevel,
     comparator: SemanticComparator,
     clusters: tuple[str, ...] | None = None,
-    cache: ConsistencyPairCache | None = None,
 ) -> bool:
     """Definition 2: rows ``s`` and ``t`` are consistent at ``level`` when
-    some cluster (of ``clusters``, default all) carries witnessing labels.
-
-    With a ``cache`` (scoped to one naming run by ``name_group``), each
-    distinct row pair is decided once per level and column restriction.
-    """
-    if cache is not None:
-        key = (level, clusters, s.clusters, s.labels, t.clusters, t.labels)
-        cached = cache.entries.get(key)
-        if cached is not None:
-            cache.counter.hit()
-            return cached
-        cache.counter.miss()
-    result = _tuples_consistent_uncached(s, t, level, comparator, clusters)
-    if cache is not None:
-        cache.entries[key] = result
-        # Consistency is symmetric in s and t: store the mirror entry too.
-        cache.entries[(level, clusters, t.clusters, t.labels, s.clusters, s.labels)] = result
-    return result
-
-
-def _tuples_consistent_uncached(
-    s: GroupTuple,
-    t: GroupTuple,
-    level: ConsistencyLevel,
-    comparator: SemanticComparator,
-    clusters: tuple[str, ...] | None,
-) -> bool:
+    some cluster (of ``clusters``, default all) carries witnessing labels."""
     columns = clusters if clusters is not None else s.clusters
     for cluster in columns:
         a = s.label_for(cluster)
@@ -190,7 +136,6 @@ def find_partitions(
     level: ConsistencyLevel,
     comparator: SemanticComparator,
     clusters: tuple[str, ...] | None = None,
-    cache: ConsistencyPairCache | None = None,
 ) -> list[Partition]:
     """All maximal partitions of the relation's rows at ``level``.
 
@@ -214,7 +159,7 @@ def find_partitions(
 
     for i in range(n):
         for j in range(i + 1, n):
-            if tuples_consistent(rows[i], rows[j], level, comparator, clusters, cache):
+            if tuples_consistent(rows[i], rows[j], level, comparator, clusters):
                 union(i, j)
 
     components: dict[int, list[GroupTuple]] = {}
@@ -227,14 +172,13 @@ def covering_partitions(
     relation: GroupRelation,
     level: ConsistencyLevel,
     comparator: SemanticComparator,
-    cache: ConsistencyPairCache | None = None,
 ) -> tuple[list[Partition], list[Partition]]:
     """(all partitions, those covering every cluster of the group).
 
     The second component being non-empty is exactly Proposition 1's
     condition for a consistent naming solution to exist at ``level``.
     """
-    partitions = find_partitions(relation, level, comparator, cache=cache)
+    partitions = find_partitions(relation, level, comparator)
     covering = [p for p in partitions if p.covers(relation.clusters)]
     return partitions, covering
 
@@ -372,7 +316,6 @@ def _closure_walk(
 def _spanning_tree_merge(
     partition: Partition,
     comparator: SemanticComparator,
-    cache: ConsistencyPairCache | None = None,
 ) -> GroupTuple:
     """Linear-time solution: Combine along a spanning tree of the component.
 
@@ -386,7 +329,7 @@ def _spanning_tree_merge(
         # Pick a neighbor consistent with some already-merged original row —
         # the component is connected, so one always exists.
         for candidate in remaining:
-            if tuples_consistent(merged, candidate, partition.level, comparator, cache=cache):
+            if tuples_consistent(merged, candidate, partition.level, comparator):
                 merged = combine(merged, candidate)
                 remaining.remove(candidate)
                 break
@@ -403,7 +346,6 @@ def solutions_of_partition(
     clusters: tuple[str, ...],
     comparator: SemanticComparator,
     limit: int = CLOSURE_LIMIT,
-    cache: ConsistencyPairCache | None = None,
 ) -> list[GroupTuple]:
     """Tuple-solutions (Definition 4) for ``clusters`` from ``partition``.
 
@@ -425,7 +367,7 @@ def solutions_of_partition(
         covered.update(t.non_null_clusters())
     if frozenset(clusters) <= covered:
         merged = _spanning_tree_merge(
-            Partition(tuples=projected, level=partition.level), comparator, cache
+            Partition(tuples=projected, level=partition.level), comparator
         )
         if merged.is_complete():
             return [merged]

@@ -131,6 +131,7 @@ class CandidateFinder:
         if enabled_rules is None:
             enabled_rules = frozenset(InferenceRule)
         self.enabled_rules = enabled_rules
+        self._li1_pairs: list[tuple[str, str]] | None = None
 
     # ------------------------------------------------------------------
     # LI1: in-domain equivalences between source internal-node labels.
@@ -141,18 +142,23 @@ class CandidateFinder:
 
         v1's leaves ⊆ v2's leaves and label(v1) hypernym label(v2)
         ⟹ the labels are equivalent in this domain of discourse.
+
+        The pairs depend only on the source nodes and the comparator, so
+        they are found once per finder, not once per global node.
         """
+        if self._li1_pairs is not None:
+            return self._li1_pairs
         pairs: list[tuple[str, str]] = []
-        if InferenceRule.LI1 not in self.enabled_rules:
-            return pairs
-        for v1 in self.source_nodes:
-            for v2 in self.source_nodes:
-                if v1 is v2 or v1.label == v2.label:
-                    continue
-                if not v1.leaf_clusters <= v2.leaf_clusters:
-                    continue
-                if self.comparator.hypernym(v1.label, v2.label):
-                    pairs.append((v1.label, v2.label))
+        if InferenceRule.LI1 in self.enabled_rules:
+            for v1 in self.source_nodes:
+                for v2 in self.source_nodes:
+                    if v1 is v2 or v1.label == v2.label:
+                        continue
+                    if not v1.leaf_clusters <= v2.leaf_clusters:
+                        continue
+                    if self.comparator.hypernym(v1.label, v2.label):
+                        pairs.append((v1.label, v2.label))
+        self._li1_pairs = pairs
         return pairs
 
     # ------------------------------------------------------------------

@@ -24,9 +24,12 @@ analyzed — and each distinct pair compared — once per comparator lifetime.
 
 Intern keys are drawn from a process-wide counter, so keys from different
 analyzers never collide; a key is only ever reused for a label that is
-interchangeable in every comparison.  When the underlying lexicon mutates
-(:attr:`MiniWordNet.version` bumps), all analyses are stale — lemmas came
-from the old vocabulary — so the analyzer drops everything and re-interns.
+interchangeable in every comparison.
+
+The analyzer holds an immutable :class:`~repro.lexicon.compiled.CompiledLexicon`
+(it compiles the lexicon it is given, once), so its analyses never go
+stale: an edit to the source :class:`MiniWordNet` made afterwards is not
+seen — build a new analyzer to pick it up.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from ..lexicon.compiled import CompiledLexicon, compile_lexicon, default_compiled
 from ..lexicon.normalize import Token, content_tokens, display_form
 from ..lexicon.wordnet import MiniWordNet
 from ..perf import CacheCounter
@@ -121,29 +125,26 @@ class LabelAnalyzer:
       conjunction flag)`` to a process-unique :attr:`Label.key`, the cache
       key downstream relation caches use.
 
-    All three are dropped when the lexicon's mutation stamp moves, since
-    token lemmas are validated against its vocabulary.
+    None of them is ever invalidated: the lexicon is compiled once, here,
+    and a compiled lexicon never changes.
     """
 
     #: Process-wide id source: keys never collide across analyzers.
     _intern_ids = itertools.count()
 
-    def __init__(self, wordnet: MiniWordNet | None = None) -> None:
-        if wordnet is None:
-            from ..lexicon.data import default_wordnet
-
-            wordnet = default_wordnet()
-        self.wordnet = wordnet
+    def __init__(
+        self, wordnet: MiniWordNet | CompiledLexicon | None = None
+    ) -> None:
+        self.wordnet: CompiledLexicon = (
+            default_compiled() if wordnet is None else compile_lexicon(wordnet)
+        )
         self._cache: dict[str, Label] = {}
         self._tokens_by_display: dict[str, tuple[Token, ...]] = {}
         self._intern: dict[tuple[str, bool], int] = {}
-        self._lexicon_version = wordnet.version
         self.counter = CacheCounter("labels")
 
     def label(self, text: str) -> Label:
         """Analyze ``text`` (cached and interned)."""
-        if self.wordnet.version != self._lexicon_version:
-            self.invalidate()
         cached = self._cache.get(text)
         if cached is not None:
             self.counter.hit()
@@ -163,18 +164,6 @@ class LabelAnalyzer:
         analyzed = Label(raw=text, display=display, tokens=tokens, key=key)
         self._cache[text] = analyzed
         return analyzed
-
-    def invalidate(self) -> None:
-        """Forget every analysis — the lexicon changed underneath us.
-
-        Fresh intern keys are handed out afterwards (the id counter never
-        rewinds), so relation caches keyed on old ids can never serve a
-        stale answer for a re-analyzed label.
-        """
-        self._cache.clear()
-        self._tokens_by_display.clear()
-        self._intern.clear()
-        self._lexicon_version = self.wordnet.version
 
     def cache_stats(self) -> dict:
         """JSON-ready cache counters (part of the perf cache hierarchy)."""

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from ..schema.groups import Group
 from .consistency import (
     ConsistencyLevel,
-    ConsistencyPairCache,
     Partition,
     find_partitions,
     solutions_of_partition,
@@ -149,16 +148,13 @@ def _solutions_at_level(
     level: ConsistencyLevel,
     comparator: SemanticComparator,
     analyzer: LabelAnalyzer,
-    cache: ConsistencyPairCache | None = None,
 ) -> list[GroupSolution]:
     """All ranked solutions from covering partitions at ``level`` (or [])."""
-    partitions = find_partitions(relation, level, comparator, cache=cache)
+    partitions = find_partitions(relation, level, comparator)
     covering = [p for p in partitions if p.covers(labelable)]
     solutions: list[GroupSolution] = []
     for partition in covering:
-        tuple_solutions = solutions_of_partition(
-            partition, labelable, comparator, cache=cache
-        )
+        tuple_solutions = solutions_of_partition(partition, labelable, comparator)
         for t, expr, freq, is_cand in rank_tuple_solutions(
             tuple_solutions, relation, analyzer
         ):
@@ -184,7 +180,6 @@ def _best_partition_solution(
     relation: GroupRelation,
     comparator: SemanticComparator,
     analyzer: LabelAnalyzer,
-    cache: ConsistencyPairCache | None = None,
 ) -> GroupTuple | None:
     """Best tuple-solution of ``partition`` over the clusters it covers."""
     covered = tuple(
@@ -192,9 +187,7 @@ def _best_partition_solution(
     )
     if not covered:
         return None
-    tuple_solutions = solutions_of_partition(
-        partition, covered, comparator, cache=cache
-    )
+    tuple_solutions = solutions_of_partition(partition, covered, comparator)
     if not tuple_solutions:
         return None
     ranked = rank_tuple_solutions(tuple_solutions, relation, analyzer)
@@ -210,17 +203,12 @@ def _partially_consistent(
     relation: GroupRelation,
     comparator: SemanticComparator,
     analyzer: LabelAnalyzer,
-    cache: ConsistencyPairCache | None = None,
 ) -> GroupSolution:
     """Greedy concatenation of per-partition solutions (Section 4.2.2)."""
-    partitions = find_partitions(
-        relation, ConsistencyLevel.SYNONYMY, comparator, cache=cache
-    )
+    partitions = find_partitions(relation, ConsistencyLevel.SYNONYMY, comparator)
     per_partition: list[GroupTuple] = []
     for partition in partitions:
-        best = _best_partition_solution(
-            partition, relation, comparator, analyzer, cache
-        )
+        best = _best_partition_solution(partition, relation, comparator, analyzer)
         if best is not None:
             per_partition.append(best)
     per_partition.sort(
@@ -255,8 +243,8 @@ def _relation_fingerprint(
 
     The group's identity (name, kind, clusters) plus the relation's rows in
     order, plus the ladder truncation.  Two relations with equal
-    fingerprints produce equal naming results under the same lexicon
-    version, which is what makes the comparator's group-result memo sound.
+    fingerprints produce equal naming results under the same lexicon,
+    which is what makes the comparator's group-result memo sound.
     """
     group = relation.group
     return (
@@ -311,14 +299,13 @@ def name_group(
 
     Results are memoised on the comparator keyed by the relation's content
     fingerprint: repeated labeling of the same domain (the service's steady
-    state) skips the whole ladder/closure computation.  The memo follows
-    the comparator's lexicon-version discipline and only engages when the
-    ranking analyzer is the comparator's own (a foreign analyzer could rank
-    expressiveness differently).
+    state) skips the whole ladder/closure computation.  The memo lives as
+    long as the comparator (whose lexicon never changes) and only engages
+    when the ranking analyzer is the comparator's own (a foreign analyzer
+    could rank expressiveness differently).
     """
     memo = None
     if analyzer is None or analyzer is comparator.analyzer:
-        comparator._check_lexicon_version()
         memo = comparator._group_cache
         fingerprint = _relation_fingerprint(relation, max_level)
         cached = memo.get(fingerprint)
@@ -346,11 +333,6 @@ def _name_group_uncached(
     analyzer: LabelAnalyzer,
     max_level: ConsistencyLevel,
 ) -> GroupNamingResult:
-    # One pair cache per naming run: every Definition-2 row-pair decision in
-    # this group — across ladder levels, spanning-tree merges and the partial
-    # fallback — is made at most once.  Hit/miss counts roll up into the
-    # comparator's ``consistency_pairs`` stats.
-    cache = ConsistencyPairCache(counter=comparator.pair_counter)
     result = GroupNamingResult(group=relation.group, relation=relation)
 
     if not relation.tuples:
@@ -371,7 +353,7 @@ def _name_group_uncached(
             if level > max_level:
                 break
             solutions = _solutions_at_level(
-                relation, labelable, level, comparator, analyzer, cache
+                relation, labelable, level, comparator, analyzer
             )
             if solutions:
                 result.solutions = solutions
@@ -379,8 +361,6 @@ def _name_group_uncached(
                 result.level = level
                 return result
 
-    result.solutions = [
-        _partially_consistent(relation, comparator, analyzer, cache)
-    ]
+    result.solutions = [_partially_consistent(relation, comparator, analyzer)]
     result.consistent = False
     return result

@@ -122,8 +122,8 @@ class _DomainTask:
     thread path's lambda.  Inside a pool worker the warm comparator built
     by :func:`repro.service.parallel.init_worker` (around the compiled
     lexicon) is reused; outside one, a fresh comparator is built per task,
-    exactly like the thread path.  The two lexicon backings are
-    query-equivalent, so results do not depend on which one answers.
+    exactly like the thread path.  Both answer from a compiled lexicon of
+    the same content, so results do not depend on where the task ran.
     """
 
     __slots__ = ("name", "seed", "options", "respondent_count")

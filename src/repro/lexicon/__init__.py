@@ -7,12 +7,11 @@ substitution rationale.
 
 from .compiled import (
     CompiledLexicon,
-    ImmutableLexiconError,
     compile_lexicon,
     default_compiled,
     lexicon_fingerprint,
 )
-from .data import build_default_wordnet, default_wordnet
+from .data import build_default_wordnet
 from .io import load_wordnet, save_wordnet_data, wordnet_from_dict
 from .morphology import base_form
 from .normalize import Token, content_tokens, display_form, tokenize
@@ -22,7 +21,6 @@ from .wordnet import MiniWordNet, Synset
 
 __all__ = [
     "CompiledLexicon",
-    "ImmutableLexiconError",
     "MiniWordNet",
     "PorterStemmer",
     "compile_lexicon",
@@ -34,7 +32,6 @@ __all__ = [
     "base_form",
     "build_default_wordnet",
     "content_tokens",
-    "default_wordnet",
     "display_form",
     "is_stop_word",
     "load_wordnet",

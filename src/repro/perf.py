@@ -6,8 +6,7 @@ synonymy/hypernymy chain for every tuple pair at every consistency level.
 The memoization layer that amortizes that work lives next to each hot path
 (:class:`repro.core.label.LabelAnalyzer`,
 :class:`repro.core.semantics.SemanticComparator`,
-:class:`repro.lexicon.wordnet.MiniWordNet`,
-:class:`repro.core.consistency.ConsistencyPairCache`); this module provides
+:class:`repro.lexicon.compiled.CompiledLexicon`); this module provides
 the *observability* for it:
 
 * :class:`CacheCounter` — hit/miss/eviction counts with a derived hit rate;
@@ -196,7 +195,7 @@ def profile_labeling(
     :func:`repro.core.pipeline.label_corpus` with one long-lived
     :class:`~repro.core.semantics.SemanticComparator` — the first pass is
     *cold* (caches empty for that domain's vocabulary), the rest are *warm*
-    (label analyses, pairwise relations and WordNet memos answer from
+    (label analyses, pairwise relations and group results answer from
     cache).  Dataset generation is excluded from the timings; only the
     merge + naming pipeline is measured.
 

@@ -5,8 +5,7 @@ Two halves, deliberately in one package:
 * **Injection** (:mod:`.faults`): a seedable, deterministic
   :class:`FaultPlan` threaded through the engine, the result cache, the
   naming pipeline and the lexicon via named injection points — latency,
-  transient errors, cache corruption and mid-run lexicon mutations, all
-  reproducible from a seed.
+  transient errors and cache corruption, all reproducible from a seed.
 * **Survival**: bounded retry with exponential backoff and deterministic
   jitter (:mod:`.retry`), a per-corpus-fingerprint circuit breaker
   (:mod:`.breaker`), and a bounded admission queue with load shedding for

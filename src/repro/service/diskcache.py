@@ -21,10 +21,16 @@ Design points:
 * **CRC-verified reads.**  Every record is checked at load time against
   its stored CRC-32; a corrupt or truncated record is counted, reported
   via :meth:`stats`, and never served — the engine just recomputes.
-* **Compaction.**  When the live segment grows past ``max_bytes`` the
-  store rewrites one latest record per ``(e, k)`` pair into a fresh
-  segment (atomic ``os.replace``) and deletes the old ones.  Records
-  belonging to *other* engine configurations are preserved verbatim.
+* **Compaction.**  Rewrites one latest record per ``(e, k)`` pair into a
+  fresh segment (atomic ``os.replace``) and deletes the old ones; records
+  belonging to *other* engine configurations are preserved verbatim.  It
+  runs only when it reclaims bytes (records superseded by a later record
+  for the same pair, plus corrupt lines found at load time), and
+  ``max_bytes`` says when: while the latest records fit in ``max_bytes``,
+  the store is compacted back under it as soon as it outgrows it; once
+  they alone exceed it, compaction waits until more than ``max_bytes``
+  are reclaimable.  A store of distinct keys never compacts, however
+  large it grows — there is nothing to reclaim.
 * **Startup load.**  The whole store is read once at construction into a
   plain dict, so a warm restart serves every previously computed corpus
   with zero recomputation; ``load_ms`` is reported in ``/metrics``.
@@ -59,6 +65,11 @@ def _crc(value) -> int:
     return zlib.crc32(_canonical(value).encode("utf-8"))
 
 
+def _line_bytes(line: str) -> int:
+    """On-disk size of one record line, newline included."""
+    return len(line.encode("utf-8")) + 1
+
+
 class DiskCache:
     """Append-only JSONL result store with CRC-checked warm-start loading."""
 
@@ -78,6 +89,11 @@ class DiskCache:
         # compaction so other configurations keep their warm starts.
         self._entries: dict[str, object] = {}
         self._foreign: dict[tuple[str, str], str] = {}
+        # Bytes of the latest record per (e, k) pair (summed in _live), and
+        # the bytes that superseded records and corrupt lines leave behind.
+        self._record_bytes: dict[tuple[str, str], int] = {}
+        self._live = 0
+        self._reclaimable = 0
         self._hits = 0
         self._misses = 0
         self._corrupt_records = 0
@@ -109,6 +125,7 @@ class DiskCache:
                     continue
                 record = self._decode(line)
                 if record is None:
+                    self._reclaimable += _line_bytes(line)
                     self._corrupt_records += 1
                     log.warning(
                         "disk cache: skipping corrupt record %s:%d",
@@ -117,11 +134,32 @@ class DiskCache:
                     )
                     continue
                 key, engine_fp, value = record
+                self._track(engine_fp, key, line)
                 if engine_fp == self.engine_fingerprint:
                     self._entries[key] = value
                 else:
                     self._foreign[(engine_fp, key)] = line
         self._load_ms = round((time.perf_counter() - start) * 1000.0, 3)
+
+    def _track(self, engine_fp: str, key: str, line: str) -> None:
+        """Record ``line`` as the latest for ``(engine_fp, key)``; the one it
+        supersedes, if any, becomes reclaimable.  Caller holds the lock (or
+        is the constructor)."""
+        superseded = self._record_bytes.get((engine_fp, key), 0)
+        size = _line_bytes(line)
+        self._record_bytes[(engine_fp, key)] = size
+        self._live += size - superseded
+        self._reclaimable += superseded
+
+    def _should_compact(self) -> bool:
+        """Compaction reclaims something and either brings the store back
+        under ``max_bytes`` or frees more than ``max_bytes``."""
+        if self._reclaimable > self.max_bytes:
+            return True
+        return (
+            self._reclaimable > 0
+            and self._live <= self.max_bytes < self._live + self._reclaimable
+        )
 
     @staticmethod
     def _decode(line: str):
@@ -183,7 +221,8 @@ class DiskCache:
         return self.directory / f"{_SEGMENT_PREFIX}{index:05d}{_SEGMENT_SUFFIX}"
 
     def put(self, key: str, value) -> None:
-        """Append one record and remember it; compact past ``max_bytes``."""
+        """Append one record and remember it; compact when
+        :meth:`_should_compact` says so."""
         line = json.dumps(
             {"k": key, "e": self.engine_fingerprint, "crc": _crc(value), "v": value},
             sort_keys=True,
@@ -192,15 +231,11 @@ class DiskCache:
         )
         with self._lock:
             self._entries[key] = value
-            segment = self._active_segment()
-            with segment.open("a", encoding="utf-8") as handle:
+            self._track(self.engine_fingerprint, key, line)
+            with self._active_segment().open("a", encoding="utf-8") as handle:
                 handle.write(line + "\n")
                 handle.flush()
-            try:
-                size = segment.stat().st_size
-            except OSError:  # pragma: no cover - raced deletion
-                size = 0
-            if size > self.max_bytes:
+            if self._should_compact():
                 self._compact()
 
     def _compact(self) -> None:
@@ -241,6 +276,7 @@ class DiskCache:
                     segment.unlink()
                 except OSError:  # pragma: no cover - raced deletion
                     pass
+        self._reclaimable = 0
         self._compactions += 1
 
     # ------------------------------------------------------------------

@@ -798,9 +798,9 @@ class LabelingEngine:
         """A comparator for this request: shared per overlay, else the default.
 
         Requests (and batch items) carrying the same lexicon overlay share
-        one comparator — and therefore its label/relation/group caches —
-        instead of rebuilding the lexicon and re-deriving every comparison
-        per item.  The comparator's memos are safe under concurrent use
+        one comparator — and therefore its compiled lexicon and its
+        label/relation/group caches — instead of rebuilding and compiling
+        the lexicon and re-deriving every comparison per item.  The comparator's memos are safe under concurrent use
         (append-only maps of deterministic values), so one instance can
         serve parallel batch workers.
         """

@@ -17,7 +17,6 @@ import repro.core.consistency as consistency
 from repro.core.consistency import (
     CLOSURE_LIMIT,
     ConsistencyLevel,
-    ConsistencyPairCache,
     combine,
     combine_closure,
     tuples_consistent,
@@ -38,7 +37,6 @@ def _reference_closure(
     level: ConsistencyLevel,
     comparator: SemanticComparator,
     limit: int = CLOSURE_LIMIT,
-    cache: ConsistencyPairCache | None = None,
 ) -> list[GroupTuple]:
     """Combine* (Definition 3 generalized): all tuples derivable by
     repeatedly combining consistent pairs, duplicates (by label values)
@@ -60,7 +58,7 @@ def _reference_closure(
         next_frontier: list[GroupTuple] = []
         for current in frontier:
             for original in tuples:
-                if not tuples_consistent(current, original, level, comparator, cache=cache):
+                if not tuples_consistent(current, original, level, comparator):
                     continue
                 for merged in (combine(current, original), combine(original, current)):
                     if merged.key() not in seen:

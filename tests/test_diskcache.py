@@ -107,6 +107,62 @@ def test_compaction_rewrites_one_record_per_key(tmp_path):
     assert DiskCache(tmp_path, "engine-b").get("foreign") == {"keep": "me"}
 
 
+def test_distinct_keys_never_compact(tmp_path):
+    """Past ``max_bytes`` of distinct entries a compaction would reclaim
+    nothing, so none runs, and every entry survives a restart."""
+    cache = DiskCache(tmp_path, "engine-a", max_bytes=512)
+    values = {f"key-{i}": {"payload": "x" * 40, "i": i} for i in range(40)}
+    for key, value in values.items():
+        cache.put(key, value)
+    stats = cache.stats()
+    assert stats["size_bytes"] > 2 * 512
+    assert stats["compactions"] == 0
+    reloaded = DiskCache(tmp_path, "engine-a", max_bytes=512)
+    assert {key: reloaded.get(key) for key in values} == values
+    assert reloaded.stats()["compactions"] == 0
+
+
+def test_superseded_records_past_max_bytes_compact(tmp_path):
+    """Live entries alone over ``max_bytes``: compaction waits for more
+    than ``max_bytes`` of superseded records, then keeps the latest."""
+    cache = DiskCache(tmp_path, "engine-a", max_bytes=512)
+    for i in range(20):
+        cache.put(f"key-{i}", {"payload": "x" * 40, "round": 0})
+    assert cache.stats()["compactions"] == 0
+    record_bytes = max(len(line) + 1 for line in _segment_lines(tmp_path))
+    for round_index in range(1, 4):
+        for i in range(20):
+            cache.put(f"key-{i}", {"payload": "x" * 40, "round": round_index})
+    stats = cache.stats()
+    assert stats["compactions"] >= 1
+    # Each compaction waited for > max_bytes of superseded records.
+    assert stats["compactions"] <= 60 * record_bytes // 512
+    reloaded = DiskCache(tmp_path, "engine-a", max_bytes=512)
+    for i in range(20):
+        assert reloaded.get(f"key-{i}") == {"payload": "x" * 40, "round": 3}
+    assert len(_segment_lines(tmp_path)) < 80
+
+
+def test_reclaimable_bytes_survive_a_restart(tmp_path):
+    """Superseded and corrupt records found at load count as reclaimable,
+    so the first put of a reopened store can compact them away."""
+    cache = DiskCache(tmp_path, "engine-a", max_bytes=10**9)
+    for round_index in range(30):
+        cache.put("hot-key", {"round": round_index})
+    segment = sorted(tmp_path.glob("segment-*.jsonl"))[0]
+    segment.write_text(segment.read_text() + "{torn\n")
+    reopened = DiskCache(tmp_path, "engine-a", max_bytes=512)
+    assert reopened.stats()["compactions"] == 0
+    reopened.put("other", {"round": 0})
+    assert reopened.stats()["compactions"] == 1
+    assert len(_segment_lines(tmp_path)) == 2
+    # Nothing is reclaimable after that: new keys append, however large.
+    for i in range(20):
+        reopened.put(f"fresh-{i}", {"round": i})
+    assert reopened.stats()["compactions"] == 1
+    assert DiskCache(tmp_path, "engine-a").get("hot-key") == {"round": 29}
+
+
 # ----------------------------------------------------------------------
 # Engine integration: warm restarts recompute nothing.
 # ----------------------------------------------------------------------

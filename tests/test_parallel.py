@@ -202,7 +202,8 @@ def _chaos_engine() -> dict:
             seed=11, rate=0.5, points=ITEM_KEYED_POINTS
         ),
         "retry": RetryPolicy(base_delay_s=0.0005, max_delay_s=0.002),
-        # mutate_lexicon faults must land on a lexicon no other test shares.
+        # A private lexicon: lexicon.query faults fire on misses of its own
+        # out-of-vocabulary memo, which no other test warms.
         "comparator": SemanticComparator(LabelAnalyzer(build_default_wordnet())),
     }
 
@@ -330,11 +331,11 @@ def test_process_backend_falls_back_on_single_job(monkeypatch):
 
 def test_process_backend_falls_back_under_fault_plan(monkeypatch):
     """With a fault plan the batch must run on threads — and a comparator
-    shared across those threads must keep its consistency-pair cache exact.
+    shared across those threads must keep its relation cache counters exact.
 
-    This is the scenario the pair cache sees in production: the chaos
-    harness drives ``executor="process"`` batches whose compute stays on
-    the batch's threads, where every worker thread shares one comparator.
+    This is the scenario the comparator's memos see in production: the
+    chaos harness drives ``executor="process"`` batches whose compute stays
+    on the batch's threads, where every worker thread shares one comparator.
     """
     from repro.core.semantics import SemanticComparator
 
@@ -359,13 +360,12 @@ def test_process_backend_falls_back_under_fault_plan(monkeypatch):
     for expected, got in zip(reference, results):
         assert _strip_timing(expected) == _strip_timing(got)
 
-    # The shared comparator's pair cache stayed coherent under the thread
-    # fan-out: counters add up and every group it memoised is consistent
-    # with a fresh comparator's answer.
-    pairs = comparator.cache_stats()["consistency_pairs"]
-    assert pairs["hits"] + pairs["misses"] > 0
-    assert pairs["hit_rate"] == round(
-        pairs["hits"] / (pairs["hits"] + pairs["misses"]), 4
+    # The shared comparator's relation cache stayed coherent under the
+    # thread fan-out: its counters add up.
+    relations = comparator.cache_stats()["relations"]
+    assert relations["hits"] + relations["misses"] > 0
+    assert relations["hit_rate"] == round(
+        relations["hits"] / (relations["hits"] + relations["misses"]), 4
     )
 
 

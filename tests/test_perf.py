@@ -1,33 +1,33 @@
-"""The memoization layer: counters, invalidation, and cached == uncached.
+"""The memoization layer: counters, the lexicon snapshot, cached == uncached.
 
 Covers the perf instrumentation primitives (:mod:`repro.perf`), the
-lexicon-mutation invalidation discipline that every cache in the hierarchy
-follows, the correctness contract of the relation/group memos (cached
-answers must be exactly the uncached ones), and the comparator sharing the
-labeling engine does across requests with the same lexicon overlay.
+immutable-snapshot contract every cache in the hierarchy relies on (a
+comparator answers from the lexicon as compiled when it was built), the
+correctness contract of the relation/group memos (cached answers must be
+exactly the uncached ones), and the comparator sharing the labeling engine
+does across requests with the same lexicon overlay.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 import random
 
 import pytest
 
-from repro.core.consistency import (
-    ConsistencyLevel,
-    ConsistencyPairCache,
-    find_partitions,
-)
 from repro.core.group_relation import GroupRelation
 from repro.core.label import LabelAnalyzer
 from repro.core.semantics import LabelRelation, SemanticComparator
 from repro.core.solutions import name_group
-from repro.datasets.registry import load_domain
+from repro.datasets.registry import DOMAINS, load_domain
+from repro.lexicon import CompiledLexicon, default_compiled
 from repro.lexicon.data import build_default_wordnet
 from repro.perf import CacheCounter, aggregate_stats
+from repro.resilience import FaultPlan, RetryPolicy
 from repro.schema.groups import partition_clusters
 from repro.service.engine import LabelingEngine, LabelingRequest
+from repro.testing.oracles import canonical_response
 
 
 # ----------------------------------------------------------------------
@@ -106,19 +106,16 @@ def test_aggregate_stats_recomputes_hit_rate():
 
 
 # ----------------------------------------------------------------------
-# Lexicon mutation invalidates every memo (satellite 1).
+# The lexicon snapshot: a comparator never sees later lexicon edits.
 # ----------------------------------------------------------------------
 
 
 def test_wordnet_mutation_invalidates_relation_memos():
+    """The builder keeps no memo, so its queries always see its own edits."""
     wn = build_default_wordnet()
-    # Prime the memo with a negative answer on fresh vocabulary.
     assert not wn.are_synonyms("blarg", "fnord")
     assert not wn.is_hypernym("blarg", "fnord")
-    version = wn.version
     wn.add_synset(["blarg", "fnord"])
-    assert wn.version > version
-    # A stale memo would keep answering False here.
     assert wn.are_synonyms("blarg", "fnord")
     wn.add_hypernym("blarg", "qux")
     assert wn.is_hypernym("blarg", "qux")
@@ -131,26 +128,54 @@ def test_wordnet_mutation_invalidates_base_form_memo():
     assert wn.lemma_base("blargs") == "blarg"
 
 
-def test_comparator_observes_mid_run_lexicon_mutation():
+def test_comparator_keeps_its_lexicon_snapshot():
     wn = build_default_wordnet()
     comparator = SemanticComparator(LabelAnalyzer(wn))
-    # Prime every layer: analyzer cache, relation cache, predicate memos.
+    wn.add_synset(["blarg", "fnord"])
+    # Built before the edit: answers from the lexicon as it was compiled.
     assert comparator.relation_between("Blarg", "Fnord") is LabelRelation.NONE
     assert not comparator.synonym("Blarg", "Fnord")
-    wn.add_synset(["blarg", "fnord"])
-    assert comparator.relation_between("Blarg", "Fnord") is LabelRelation.SYNONYM
-    assert comparator.synonym("Blarg", "Fnord")
+    # Built after the edit: sees it.
+    rebuilt = SemanticComparator(LabelAnalyzer(wn))
+    assert rebuilt.relation_between("Blarg", "Fnord") is LabelRelation.SYNONYM
 
 
-def test_analyzer_reinterns_after_mutation():
-    wn = build_default_wordnet()
-    analyzer = LabelAnalyzer(wn)
-    before = analyzer.label("Blarg")
-    wn.add_synset(["blarg"])
-    after = analyzer.label("Blarg")
-    # Fresh analysis and a fresh intern key — stale relation-cache entries
-    # keyed on the old id can never be consulted for the new label.
-    assert after.key != before.key
+def test_analyzer_always_holds_a_compiled_lexicon():
+    default = SemanticComparator()
+    assert default.wordnet is default_compiled()
+    assert not hasattr(default.wordnet, "add_synset")
+    analyzer = LabelAnalyzer(build_default_wordnet())
+    assert isinstance(analyzer.wordnet, CompiledLexicon)
+    # Compiling is idempotent: a compiled lexicon is used as given.
+    assert LabelAnalyzer(analyzer.wordnet).wordnet is analyzer.wordnet
+
+
+def test_fault_sweep_leaves_the_default_lexicon_untouched():
+    """No fault plan can write into the process-wide default lexicon."""
+    payloads = [{"domain": name, "seed": 0} for name in DOMAINS]
+    lexicon = default_compiled()
+    fingerprint, tables = lexicon.fingerprint, pickle.dumps(lexicon)
+    vocabulary = SemanticComparator().wordnet.vocabulary()
+    before = [
+        canonical_response(r)
+        for r in LabelingEngine().label_batch(payloads, jobs=1)
+    ]
+    retry = RetryPolicy(base_delay_s=0.0005, max_delay_s=0.002)
+    for seed in range(20):
+        engine = LabelingEngine(
+            fault_plan=FaultPlan.random(seed=seed, rate=0.1, latency_s=0.0005),
+            retry=retry,
+        )
+        engine.label_batch(payloads, jobs=1)
+    assert default_compiled() is lexicon
+    assert lexicon.fingerprint == fingerprint
+    assert pickle.dumps(lexicon) == tables
+    assert SemanticComparator().wordnet.vocabulary() == vocabulary
+    after = [
+        canonical_response(r)
+        for r in LabelingEngine().label_batch(payloads, jobs=1)
+    ]
+    assert after == before
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +248,7 @@ def test_derived_predicates_match_relation_ladder():
 
 
 # ----------------------------------------------------------------------
-# find_partitions with the pair cache on and off.
+# The group-result memo: warm answers equal cold ones, copies protect it.
 # ----------------------------------------------------------------------
 
 
@@ -235,25 +260,6 @@ def _group_relations(domain: str, seed: int) -> list[GroupRelation]:
     if partition.root_group is not None:
         groups.append(partition.root_group)
     return [GroupRelation.from_mapping(g, dataset.mapping) for g in groups]
-
-
-@pytest.mark.parametrize("domain", ["airline", "hotels", "carrental"])
-def test_pair_cache_does_not_change_closure_or_partitions(domain):
-    comparator = SemanticComparator()
-    lookups = CacheCounter("pairs")
-    for relation in _group_relations(domain, seed=0):
-        for level in ConsistencyLevel:
-            cache = ConsistencyPairCache(counter=lookups)
-            parts_plain = find_partitions(relation, level, comparator)
-            parts_memo = find_partitions(relation, level, comparator, cache=cache)
-            assert [sorted(t.interface for t in p.tuples) for p in parts_plain] \
-                == [sorted(t.interface for t in p.tuples) for p in parts_memo]
-    assert lookups.lookups > 0
-
-
-# ----------------------------------------------------------------------
-# The group-result memo: warm answers equal cold ones, copies protect it.
-# ----------------------------------------------------------------------
 
 
 def _solution_view(result):
